@@ -10,10 +10,12 @@
 //	flexran-scn validate file.yaml...
 //	    Parse + validate only; exit non-zero on the first error.
 //
-//	flexran-scn digest [-workers N] [-golden FILE] [-update] file.yaml...
+//	flexran-scn digest [-workers N] [-golden FILE] [-complete] [-update] file.yaml...
 //	    Execute and print "name digest" lines. With -golden, compare
-//	    against the committed golden file and fail on any mismatch
-//	    (the CI determinism/regression gate); with -update, rewrite it.
+//	    each given scenario against the committed golden file and fail
+//	    on any mismatch (the CI determinism/regression gate); -complete
+//	    also fails on golden entries no given file produced (a stale
+//	    golden, for full-library runs); -update rewrites the file.
 package main
 
 import (
@@ -58,7 +60,7 @@ func usage() {
 	fmt.Fprint(os.Stderr, `usage:
   flexran-scn run      [-workers N] [-json] [-out FILE] scenario.yaml...
   flexran-scn validate scenario.yaml...
-  flexran-scn digest   [-workers N] [-golden FILE] [-update] scenario.yaml...
+  flexran-scn digest   [-workers N] [-golden FILE] [-complete] [-update] scenario.yaml...
 `)
 }
 
@@ -156,6 +158,7 @@ func cmdDigest(args []string) error {
 	workers := fs.Int("workers", 0, "engine worker-pool override (0 = scenario/run.workers)")
 	golden := fs.String("golden", "", "compare digests against this golden file")
 	update := fs.Bool("update", false, "rewrite the golden file with computed digests")
+	complete := fs.Bool("complete", false, "with -golden, also fail on golden entries that no given scenario produced")
 	fs.Parse(args) //nolint:errcheck // ExitOnError
 	if fs.NArg() == 0 {
 		return fmt.Errorf("digest: no scenario files given")
@@ -218,9 +221,11 @@ func cmdDigest(args []string) error {
 				failures = append(failures, fmt.Sprintf("%s: digest %s != golden %s", n, got[n], w))
 			}
 		}
-		for n := range want {
-			if _, ok := got[n]; !ok {
-				failures = append(failures, fmt.Sprintf("%s: golden entry has no scenario file in this run", n))
+		if *complete {
+			for n := range want {
+				if _, ok := got[n]; !ok {
+					failures = append(failures, fmt.Sprintf("%s: golden entry has no scenario file in this run", n))
+				}
 			}
 		}
 		if len(failures) > 0 {

@@ -7,10 +7,19 @@ import (
 	"sync/atomic"
 )
 
+// blocksPerWorker sets the claim granularity: ForEach cuts [0, n) into
+// about this many contiguous blocks per worker. Blocks amortise the shared
+// counter over many cheap calls (a TTI phase over thousands of mostly idle
+// nodes), while several blocks per worker still even out uneven loads.
+const blocksPerWorker = 16
+
 // ForEach runs fn(i) for every i in [0, n), fanning the indices out
-// across up to workers goroutines that claim work off a shared counter,
-// and returns only when every call has finished (the phase barrier the
-// TTI engine relies on). With workers <= 1 it runs inline on the caller.
+// across up to workers goroutines, and returns only when every call has
+// finished (the phase barrier the TTI engine relies on). Workers claim
+// contiguous blocks of indices off a shared counter; the block size is
+// n/(workers*blocksPerWorker), at least 1, so with fewer than
+// 2*blocksPerWorker indices per worker every claim is a single index.
+// With workers <= 1 it runs inline on the caller.
 func ForEach(workers, n int, fn func(i int)) {
 	if workers > n {
 		workers = n
@@ -21,6 +30,7 @@ func ForEach(workers, n int, fn func(i int)) {
 		}
 		return
 	}
+	block := max(n/(workers*blocksPerWorker), 1)
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	wg.Add(workers)
@@ -28,11 +38,13 @@ func ForEach(workers, n int, fn func(i int)) {
 		go func() {
 			defer wg.Done()
 			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
+				end := int(next.Add(int64(block)))
+				if end-block >= n {
 					return
 				}
-				fn(i)
+				for i := end - block; i < min(end, n); i++ {
+					fn(i)
+				}
 			}
 		}()
 	}

@@ -475,8 +475,7 @@ func (m *Master) DisconnectAgent(enb lte.ENBID) {
 		m.closeSession(s)
 		return
 	}
-	if m.rib.Connected(enb) {
-		m.rib.applyDisconnect(enb)
+	if m.rib.applyDisconnect(enb) {
 		m.mu.Lock()
 		m.pendingLife = append(m.pendingLife, lifeEvent{enb: enb})
 		m.mu.Unlock()
@@ -578,6 +577,9 @@ func (m *Master) Tick() {
 			m.applyBatch(sessions[i], batches[i], &sinks[i])
 		}
 	})
+	// Agents whose Hello the slot applied become visible to readers here,
+	// in one topology publication for the whole slot.
+	m.rib.publishTopology()
 	var events []AgentEvent
 	var meas []MeasEvent
 	var hos []HandoverEvent
@@ -901,7 +903,7 @@ func (m *Master) handleHello(s *session, enb lte.ENBID, p *protocol.Hello, sink 
 		}
 	}
 	m.welcome(enb)
-	// Close may have raced the shard publish above (it runs its
+	// Close may have raced the shard staging above (it runs its
 	// applyDisconnect against a shard that does not exist yet);
 	// retract the liveness if the session closed meanwhile, so the
 	// RIB never reports a ghost connected agent.

@@ -6,6 +6,8 @@
 package controller
 
 import (
+	"maps"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -51,9 +53,11 @@ type agentShard struct {
 	health atomic.Uint32
 }
 
-// ribTopology is the copy-on-write agent directory. The shard set only
-// changes on Hello (rare), so it is republished wholesale and readers
-// resolve ENBID to shard without locking.
+// ribTopology is the copy-on-write agent directory. Readers resolve ENBID
+// to shard without locking. The shard set only changes on Hello, and the
+// updater republishes it once per Tick, after its slot's barrier (see
+// publishTopology), so an attach storm of N Hellos costs one O(N log N)
+// publication instead of N of them.
 type ribTopology struct {
 	shards map[lte.ENBID]*agentShard
 	ids    []lte.ENBID // sorted
@@ -65,23 +69,53 @@ type ribTopology struct {
 // the paper's single-writer/multi-reader discipline while letting reports
 // from different eNodeBs be absorbed in parallel.
 type RIB struct {
-	topoMu sync.Mutex // serializes topology (shard set) changes
-	topo   atomic.Pointer[ribTopology]
+	topo atomic.Pointer[ribTopology]
+
+	// staged holds the shards applyHello built during the current updater
+	// slot, not yet visible to readers. Writer-side lookups (shardW) see
+	// them first; anyStaged lets those lookups skip the lock whenever
+	// nothing is staged, which is every steady-state Tick.
+	stageMu   sync.Mutex
+	staged    map[lte.ENBID]*agentShard
+	anyStaged atomic.Bool
+
+	// publishes counts topology publications (tests pin one per Tick).
+	publishes int
 }
 
 // NewRIB returns an empty information base.
 func NewRIB() *RIB {
-	r := &RIB{}
+	r := &RIB{staged: map[lte.ENBID]*agentShard{}}
 	r.topo.Store(&ribTopology{shards: map[lte.ENBID]*agentShard{}})
 	return r
 }
 
+// shard resolves an agent in the published topology (reader side).
 func (r *RIB) shard(enb lte.ENBID) *agentShard {
 	return r.topo.Load().shards[enb]
 }
 
 // --- writer side (RIB Updater only) ---
 
+// shardW resolves an agent for a writer: a shard staged by a Hello earlier
+// in this slot shadows the published one, so a session's later messages in
+// the same batch, a resync that outran its Hello and a re-Hello of a live
+// agent all land on the shard that publishTopology is about to expose.
+func (r *RIB) shardW(enb lte.ENBID) *agentShard {
+	if r.anyStaged.Load() {
+		r.stageMu.Lock()
+		sh, ok := r.staged[enb]
+		r.stageMu.Unlock()
+		if ok {
+			return sh
+		}
+	}
+	return r.shard(enb)
+}
+
+// applyHello builds a fresh shard for enb (a re-Hello replaces the whole
+// subtree) and stages it; readers see it once the Tick republishes the
+// topology.
 func (r *RIB) applyHello(enb lte.ENBID, cfg protocol.ENBConfig) {
 	sh := &agentShard{
 		config: cfg,
@@ -92,26 +126,53 @@ func (r *RIB) applyHello(enb lte.ENBID, cfg protocol.ENBConfig) {
 	}
 	sh.connected.Store(true)
 
-	r.topoMu.Lock()
-	defer r.topoMu.Unlock()
-	old := r.topo.Load()
-	next := &ribTopology{shards: make(map[lte.ENBID]*agentShard, len(old.shards)+1)}
-	for id, s := range old.shards {
-		next.shards[id] = s
-	}
-	next.shards[enb] = sh // a re-Hello replaces the whole subtree
-	next.ids = make([]lte.ENBID, 0, len(next.shards))
-	for id := range next.shards {
-		next.ids = append(next.ids, id)
-	}
-	sort.Slice(next.ids, func(i, j int) bool { return next.ids[i] < next.ids[j] })
-	r.topo.Store(next)
+	r.stageMu.Lock()
+	r.staged[enb] = sh
+	r.anyStaged.Store(true)
+	r.stageMu.Unlock()
 }
 
-func (r *RIB) applyDisconnect(enb lte.ENBID) {
-	if sh := r.shard(enb); sh != nil {
-		sh.connected.Store(false)
+// publishTopology folds the staged shards into a new topology snapshot:
+// one map copy and one sort however many Hellos the slot applied. It runs
+// on the tick goroutine after the updater barrier; the new snapshot is
+// stored before the staging area empties, so a concurrent writer lookup
+// finds each shard in one place or the other.
+func (r *RIB) publishTopology() {
+	if !r.anyStaged.Load() {
+		return
 	}
+	r.stageMu.Lock()
+	defer r.stageMu.Unlock()
+	old := r.topo.Load()
+	next := &ribTopology{
+		shards: make(map[lte.ENBID]*agentShard, len(old.shards)+len(r.staged)),
+		ids:    old.ids,
+	}
+	maps.Copy(next.shards, old.shards)
+	var added []lte.ENBID
+	for id, sh := range r.staged {
+		if _, ok := next.shards[id]; !ok {
+			added = append(added, id)
+		}
+		next.shards[id] = sh
+	}
+	if len(added) > 0 {
+		// Published id slices are shared with readers: build a new one.
+		ids := make([]lte.ENBID, 0, len(next.shards))
+		ids = append(append(ids, old.ids...), added...)
+		slices.Sort(ids)
+		next.ids = ids
+	}
+	r.topo.Store(next)
+	clear(r.staged)
+	r.anyStaged.Store(false)
+	r.publishes++
+}
+
+// applyDisconnect marks an agent down and reports whether it was live.
+func (r *RIB) applyDisconnect(enb lte.ENBID) bool {
+	sh := r.shardW(enb)
+	return sh != nil && sh.connected.Swap(false)
 }
 
 // applyResync rebuilds an agent's shard from a StateSnapshot: the UE forest
@@ -124,10 +185,10 @@ func (r *RIB) applyDisconnect(enb lte.ENBID) {
 // snapshot's own config; the snapshot payload is pooling-exempt for
 // exactly this retention.
 func (r *RIB) applyResync(enb lte.ENBID, snap *protocol.StateSnapshot) {
-	sh := r.shard(enb)
+	sh := r.shardW(enb)
 	if sh == nil {
 		r.applyHello(enb, snap.Config)
-		sh = r.shard(enb)
+		sh = r.shardW(enb)
 	}
 	imsis := map[lte.RNTI]uint64{}
 	for i := range snap.Configs {
@@ -179,13 +240,13 @@ func (sh *agentShard) advanceSF(sf lte.Subframe) {
 }
 
 func (r *RIB) applySF(enb lte.ENBID, sf lte.Subframe) {
-	if sh := r.shard(enb); sh != nil {
+	if sh := r.shardW(enb); sh != nil {
 		sh.advanceSF(sf)
 	}
 }
 
 func (r *RIB) applyStats(enb lte.ENBID, rep *protocol.StatsReply) {
-	sh := r.shard(enb)
+	sh := r.shardW(enb)
 	if sh == nil {
 		return
 	}
@@ -226,7 +287,7 @@ func (r *RIB) applyStats(enb lte.ENBID, rep *protocol.StatsReply) {
 // applyMeasReport attaches an A3 measurement report to the UE's record
 // (creating the record if the report outran the stats stream).
 func (r *RIB) applyMeasReport(enb lte.ENBID, sf lte.Subframe, rep *protocol.MeasReport) {
-	sh := r.shard(enb)
+	sh := r.shardW(enb)
 	if sh == nil {
 		return
 	}
@@ -257,7 +318,7 @@ func (r *RIB) applyMeasReport(enb lte.ENBID, sf lte.Subframe, rep *protocol.Meas
 // *target* agent's session, and letting it write the source shard would
 // race the source session's in-order stream.
 func (r *RIB) applyHandoverComplete(to lte.ENBID, hc *protocol.HandoverComplete) {
-	sh := r.shard(to)
+	sh := r.shardW(to)
 	if sh == nil {
 		return
 	}
@@ -279,7 +340,7 @@ func (r *RIB) applyHandoverComplete(to lte.ENBID, hc *protocol.HandoverComplete)
 }
 
 func (r *RIB) applyUEEvent(enb lte.ENBID, ev *protocol.UEEvent) {
-	sh := r.shard(enb)
+	sh := r.shardW(enb)
 	if sh == nil {
 		return
 	}

@@ -15,6 +15,7 @@ func helloRIB() *RIB {
 			ID: id, Cells: []protocol.CellConfig{{Cell: 0}},
 		})
 	}
+	r.publishTopology()
 	return r
 }
 

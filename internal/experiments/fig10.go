@@ -76,7 +76,10 @@ func runEICICCase(mode eicicMode, seconds float64) (macro, small float64, grante
 	}}
 
 	o := controller.DefaultOptions()
-	s := sim.MustNew(sim.Config{Master: &o},
+	// The interference closures read the other cell's activity during the
+	// data-plane phase, so the stepping order above only holds on a
+	// serial engine; a parallel one would race the two eNodeBs.
+	s := sim.MustNew(sim.Config{Master: &o, Workers: 1},
 		sim.ENBSpec{ID: 2, Agent: true, Seed: 2, UEs: smallUEs}, // stepped first
 		sim.ENBSpec{ID: 1, Agent: true, Seed: 1, UEs: macroUEs},
 	)

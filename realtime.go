@@ -229,7 +229,8 @@ func RunAgentLoop(a *Agent, masterAddr string, stop <-chan struct{}) error {
 // inline, but the TTI step always runs once the deadline has passed — a
 // sustained inbound burst can delay a subframe (the pacer counts it as a
 // miss) yet never starve or skip it. It blocks until stop is closed or the
-// connection fails.
+// connection fails; it returns nil once stop is closed, even if the peer
+// closed the connection first.
 func RunAgentLoopRT(a *Agent, masterAddr string, stop <-chan struct{}, cfg RTConfig) error {
 	ls := cfg.Stats
 	if ls != nil {
@@ -242,7 +243,16 @@ func RunAgentLoopRT(a *Agent, masterAddr string, stop <-chan struct{}, cfg RTCon
 	defer conn.Close()
 	a.Connect(conn.Send)
 
+	// A peer close seen after stop is a clean exit, not a channel error:
+	// a master sharing the stop signal closes its accepted connections
+	// as it shuts down, and the agent may observe that close (in the
+	// select or in a drain) before it observes stop itself.
 	closedErr := func() error {
+		select {
+		case <-stop:
+			return nil
+		default:
+		}
 		if err := conn.Err(); err != nil {
 			return fmt.Errorf("flexran: control channel: %w", err)
 		}

@@ -1,6 +1,7 @@
 package flexran_test
 
 import (
+	"net"
 	"runtime"
 	"testing"
 	"time"
@@ -201,4 +202,51 @@ func TestRealTimeShutdownLeaksNothing(t *testing.T) {
 		runtime.GC()
 		return runtime.NumGoroutine() <= before+3
 	})
+}
+
+// TestRealTimeAgentStopThenPeerClose pins the agent loop's shutdown
+// contract: a peer close observed after stop is a clean nil exit, wherever
+// the loop observes it (the idle select or a drain). The server side is
+// closed right behind stop, the order a master sharing the stop channel
+// produces, and repeated so both observation points get exercised. A peer
+// close without stop stays an error.
+func TestRealTimeAgentStopThenPeerClose(t *testing.T) {
+	if testing.Short() {
+		t.Skip("wall-clock test")
+	}
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	run := func(id flexran.ENBID, stop chan struct{}) (net.Conn, chan error) {
+		a := startAgentENB(t, id, 1)
+		errc := make(chan error, 1)
+		go func() { errc <- flexran.RunAgentLoop(a, l.Addr().String(), stop) }()
+		sc, err := l.Accept()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sc, errc
+	}
+	for i := 0; i < 20; i++ {
+		stop := make(chan struct{})
+		sc, errc := run(flexran.ENBID(40+i), stop)
+		// Let the agent settle into its paced loop on some iterations and
+		// catch it mid-handshake on others.
+		time.Sleep(time.Duration(i%4) * time.Millisecond)
+		close(stop)
+		sc.Close()
+		if err := <-errc; err != nil {
+			t.Fatalf("iteration %d: stop then peer close: %v", i, err)
+		}
+	}
+
+	stop := make(chan struct{})
+	defer close(stop)
+	sc, errc := run(60, stop)
+	sc.Close()
+	if err := <-errc; err == nil {
+		t.Fatal("peer close without stop: got nil, want a control-channel error")
+	}
 }
