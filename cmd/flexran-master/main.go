@@ -105,8 +105,13 @@ func main() {
 		}
 		fmt.Printf("flexran-master northbound API on %s\n", apiAddr)
 	}
-	fmt.Printf("flexran-master listening on %s\n", *addr)
-	err = flexran.ServeMasterRT(m, *addr, stop, flexran.RTConfig{Stats: ls})
+	l, err := flexran.ListenControl(*addr)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "master:", err)
+		os.Exit(1)
+	}
+	fmt.Printf("flexran-master listening on %s\n", l.Addr())
+	err = flexran.ServeMasterListener(m, l, stop, flexran.RTConfig{Stats: ls})
 	// Flush the final accounting whether the loop ended by signal or by a
 	// transport failure.
 	fmt.Println(flexran.MasterSummary(m))

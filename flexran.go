@@ -35,7 +35,8 @@
 // every phase of a TTI across eNodeBs with results bit-for-bit identical
 // to the serial engine. See examples/scale for a 64-eNodeB deployment.
 //
-// For wall-clock deployments over TCP, see ServeMaster and RunAgentLoop.
+// For wall-clock deployments over TCP, see ListenControl,
+// ServeMasterListener and RunAgentLoopRT.
 // The experiments regenerating every table and figure of the paper live in
 // internal/experiments and are runnable via cmd/flexran-exp.
 package flexran

@@ -60,15 +60,19 @@ func TestRealTimeDeployment(t *testing.T) {
 	m := flexran.NewMaster(flexran.DefaultMasterOptions())
 	stop := make(chan struct{})
 	errc := make(chan error, 2)
-	go func() { errc <- flexran.ServeMaster(m, "127.0.0.1:21299", stop) }()
-	time.Sleep(50 * time.Millisecond)
+	l, err := flexran.ListenControl("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := l.Addr().String()
+	go func() { errc <- flexran.ServeMasterListener(m, l, stop, flexran.RTConfig{}) }()
 
 	e := flexran.NewENB(flexran.ENBConfig{ID: 4, Seed: 1})
 	a := flexran.NewAgent(e, flexran.AgentOptions{})
 	if _, err := e.AddUE(flexran.UEParams{IMSI: 1, Cell: 0, Channel: flexran.FixedChannel(12)}); err != nil {
 		t.Fatal(err)
 	}
-	go func() { errc <- flexran.RunAgentLoop(a, "127.0.0.1:21299", stop) }()
+	go func() { errc <- flexran.RunAgentLoopRT(a, addr, stop, flexran.RTConfig{}) }()
 
 	// Wait for the RIB to see the agent and its UE.
 	deadline := time.After(5 * time.Second)

@@ -26,28 +26,45 @@
 //	    - id: 1
 //	      x: 0             # with power_dbm, adds a radio-map site
 //	      power_dbm: 43
-//	  # or generated: grid: {enbs: 256} / honeycomb: {rings: 3, pitch_m: 500}
+//	  # or generated:
+//	  #   honeycomb:
+//	  #     rings: 3
+//	  #     pitch_m: 500
 //	ues:
 //	  - count: 3
 //	    enb: 1
 //	    imsi_base: 100
-//	    mobility: {model: waypoint, path: [[150, 0], [850, 0]], ...}
+//	    mobility:
+//	      model: waypoint
+//	      path: [[150, 0], [850, 0]]
+//	      speed_mps: 30
 //	    traffic:
-//	      - {kind: cbr, share: 1.0, rate_kbps: 500}
+//	      - kind: cbr
+//	        share: 1.0
+//	        rate_kbps: 500
 //	apps:
-//	  - {kind: mobility, policy: strongest}
+//	  - kind: mobility
+//	    policy: strongest
 //	slices:
 //	  elastic: true        # false = static weight-proportional plan
 //	  epoch_ttis: 200      # broker control period
 //	  specs:
-//	    - {name: gold, group: 0, weight: 2, min_throughput_kbps: 4000}
-//	    - {name: bronze, group: 1, arrive_at: 4000, reject_below: 0.3}
+//	    - name: gold
+//	      group: 0
+//	      weight: 2
+//	      min_throughput_kbps: 4000
+//	    - name: bronze
+//	      group: 1
+//	      arrive_at: 4000
+//	      admit_above: 0.6
+//	      reject_below: 0.3
 //	faults:
-//	  - {at: 500, kind: link_cut, enb: 1}
+//	  - at: 500
+//	    kind: link_cut
+//	    enb: 1
 package scenario
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"os"
@@ -337,6 +354,20 @@ func LoadNamed(name string) (*Scenario, error) {
 	return nil, fmt.Errorf("scenario: %s not found (run from the repository tree)", rel)
 }
 
+// Size limits on what Parse expands from a single number. They sit far
+// above the scenario library's largest world (scale-4096enb: 4096 sites,
+// 102,408 UEs) and keep a hostile document from making Parse allocate or
+// loop without bound.
+const (
+	// maxENBs bounds the sites of a generated topology.
+	maxENBs = 1 << 16
+	// maxRings is the largest honeycomb ring count whose 1+3R(R+1) sites
+	// fit in maxENBs.
+	maxRings = 147
+	// maxUEs bounds the UE population summed over all groups.
+	maxUEs = 1 << 20
+)
+
 // Parse parses and validates a scenario document.
 func Parse(doc string) (*Scenario, error) {
 	root, err := yamlite.Parse(doc)
@@ -360,45 +391,33 @@ func Parse(doc string) (*Scenario, error) {
 	}
 	for _, key := range root.Keys() {
 		val := root.Get(key)
+		var err error
 		switch key {
 		case "name":
 			sc.Name = val.Str()
 		case "description":
 			sc.Description = val.Str()
 		case "run":
-			if err := sc.parseRun(val); err != nil {
-				return nil, err
-			}
+			err = sc.parseRun(val)
 		case "topology":
-			if err := sc.parseTopology(val); err != nil {
-				return nil, err
-			}
+			err = sc.parseTopology(val)
 		case "ues":
-			if err := sc.parseUEs(val); err != nil {
-				return nil, err
-			}
+			err = sc.parseUEs(val)
 		case "master":
-			if err := sc.parseMaster(val); err != nil {
-				return nil, err
-			}
+			err = sc.parseMaster(val)
 		case "apps":
-			if err := sc.parseApps(val); err != nil {
-				return nil, err
-			}
+			err = sc.parseApps(val)
 		case "slicing":
-			if err := sc.parseSlicing(val); err != nil {
-				return nil, err
-			}
+			err = sc.parseSlicing(val)
 		case "slices":
-			if err := sc.parseSlices(val); err != nil {
-				return nil, err
-			}
+			err = sc.parseSlices(val)
 		case "faults":
-			if err := sc.parseFaults(val); err != nil {
-				return nil, err
-			}
+			err = sc.parseFaults(val)
 		default:
-			return nil, fmt.Errorf("scenario: unknown top-level key %q", key)
+			err = fmt.Errorf("scenario: unknown top-level key %q", key)
+		}
+		if err != nil {
+			return nil, err
 		}
 	}
 	if err := sc.validate(); err != nil {
@@ -408,146 +427,67 @@ func Parse(doc string) (*Scenario, error) {
 }
 
 // ---------------------------------------------------------------------------
-// Section parsers. Every section rejects unknown keys so typos surface as
-// errors instead of silently ignored knobs.
+// Section parsers. Each lists its knobs for decodeMap, which rejects
+// unknown keys so typos surface as errors instead of silently ignored
+// knobs; what follows a decodeMap call is the section's required and
+// cross-field checks.
 
 func (sc *Scenario) parseRun(n *yamlite.Node) error {
-	if n == nil || n.Kind != yamlite.KindMap {
-		return fmt.Errorf("scenario: run section must be a map")
+	if err := section(n, "run", yamlite.KindMap); err != nil {
+		return err
 	}
-	for _, key := range n.Keys() {
-		val := n.Get(key)
-		switch key {
-		case "ttis":
-			v, err := posInt(val)
-			if err != nil {
-				return fmt.Errorf("scenario: run.ttis must be a positive integer")
-			}
-			sc.Run.TTIs = int(v)
-		case "seconds":
-			f, err := val.Float()
-			if err != nil || f <= 0 {
-				return fmt.Errorf("scenario: run.seconds must be a positive number")
-			}
-			sc.Run.TTIs = int(f * lte.TTIsPerSecond)
-		case "attach_ttis":
-			v, err := nonNegInt(val)
-			if err != nil {
-				return fmt.Errorf("scenario: run.attach_ttis must be a non-negative integer")
-			}
-			sc.Run.AttachTTIs = int(v)
-		case "workers":
-			v, err := nonNegInt(val)
-			if err != nil {
-				return fmt.Errorf("scenario: run.workers must be a non-negative integer")
-			}
-			sc.Run.Workers = int(v)
-		case "seed":
-			v, err := val.Int()
-			if err != nil {
-				return fmt.Errorf("scenario: run.seed must be an integer")
-			}
-			sc.Run.Seed = v
-		case "pingpong_window_tti":
-			v, err := posInt(val)
-			if err != nil {
-				return fmt.Errorf("scenario: run.pingpong_window_tti must be a positive integer")
-			}
-			sc.Run.PingPongWindowTTI = int(v)
-		case "no_fast_forward":
-			b, err := val.Bool()
-			if err != nil {
-				return fmt.Errorf("scenario: run.no_fast_forward must be a boolean")
-			}
-			sc.Run.NoFastForward = b
-		default:
-			return fmt.Errorf("scenario: run has no knob %q", key)
-		}
-	}
-	return nil
+	r := &sc.Run
+	return decodeMap(n, "run", []knob{
+		{"ttis", &r.TTIs, posInt},
+		{"seconds", func(f float64) { r.TTIs = int(f * lte.TTIsPerSecond) }, posNum},
+		{"attach_ttis", &r.AttachTTIs, nonNeg},
+		{"workers", &r.Workers, nonNeg},
+		{"seed", &r.Seed, anyInt},
+		{"pingpong_window_tti", &r.PingPongWindowTTI, posInt},
+		{"no_fast_forward", &r.NoFastForward, boolean},
+	})
 }
 
 func (sc *Scenario) parseTopology(n *yamlite.Node) error {
-	if n == nil || n.Kind != yamlite.KindMap {
-		return fmt.Errorf("scenario: topology section must be a map")
+	if err := section(n, "topology", yamlite.KindMap); err != nil {
+		return err
 	}
-	for _, key := range n.Keys() {
-		val := n.Get(key)
-		switch key {
-		case "grid":
-			if err := sc.parseGrid(val); err != nil {
-				return err
-			}
-		case "honeycomb":
-			if err := sc.parseHoneycomb(val); err != nil {
-				return err
-			}
-		case "enbs":
-			if val == nil || val.Kind != yamlite.KindSeq {
-				return fmt.Errorf("scenario: topology.enbs must be a sequence")
-			}
-			for i, item := range val.Items() {
-				d, err := parseENB(item, fmt.Sprintf("topology.enbs[%d]", i))
+	return decodeMap(n, "topology", []knob{
+		{"grid", sc.parseGrid, custom},
+		{"honeycomb", sc.parseHoneycomb, custom},
+		{"enbs", func(v *yamlite.Node) error {
+			return items(v, "topology.enbs", func(it *yamlite.Node, where string) error {
+				d, err := parseENB(it, where)
 				if err != nil {
 					return err
 				}
 				sc.ENBs = append(sc.ENBs, d)
-			}
-		default:
-			return fmt.Errorf("scenario: topology has no knob %q", key)
-		}
-	}
-	return nil
+				return nil
+			})
+		}, custom},
+	})
 }
 
 // parseGrid expands "topology.grid" into a row-major lattice of
 // single-cell agent eNodeBs with ids 1..N, each carrying one site.
 func (sc *Scenario) parseGrid(n *yamlite.Node) error {
-	if n == nil || n.Kind != yamlite.KindMap {
-		return fmt.Errorf("scenario: topology.grid must be a map")
-	}
 	count, cols := 0, 0
 	spacing, power := 500.0, 43.0
 	var seedBase int64 = 1
-	for _, key := range n.Keys() {
-		val := n.Get(key)
-		switch key {
-		case "enbs":
-			v, err := posInt(val)
-			if err != nil {
-				return fmt.Errorf("scenario: topology.grid.enbs must be a positive integer")
-			}
-			count = int(v)
-		case "cols":
-			v, err := posInt(val)
-			if err != nil {
-				return fmt.Errorf("scenario: topology.grid.cols must be a positive integer")
-			}
-			cols = int(v)
-		case "spacing_m":
-			f, err := val.Float()
-			if err != nil || f <= 0 {
-				return fmt.Errorf("scenario: topology.grid.spacing_m must be a positive number")
-			}
-			spacing = f
-		case "power_dbm":
-			f, err := val.Float()
-			if err != nil {
-				return fmt.Errorf("scenario: topology.grid.power_dbm must be a number")
-			}
-			power = f
-		case "seed_base":
-			v, err := val.Int()
-			if err != nil {
-				return fmt.Errorf("scenario: topology.grid.seed_base must be an integer")
-			}
-			seedBase = v
-		default:
-			return fmt.Errorf("scenario: topology.grid has no knob %q", key)
-		}
+	if err := decodeMap(n, "topology.grid", []knob{
+		{"enbs", &count, posInt},
+		{"cols", &cols, posInt},
+		{"spacing_m", &spacing, posNum},
+		{"power_dbm", &power, anyNum},
+		{"seed_base", &seedBase, anyInt},
+	}); err != nil {
+		return err
 	}
 	if count == 0 {
 		return fmt.Errorf("scenario: topology.grid.enbs is required")
+	}
+	if count > maxENBs {
+		return fmt.Errorf("scenario: topology.grid.enbs must be at most %d", maxENBs)
 	}
 	if cols == 0 {
 		cols = int(math.Ceil(math.Sqrt(float64(count))))
@@ -574,58 +514,28 @@ func (sc *Scenario) parseGrid(n *yamlite.Node) error {
 // Exactly one of `enbs` (site count, spiral truncated mid-ring) or
 // `rings` (complete rings R, yielding 1+3R(R+1) sites) selects the size.
 func (sc *Scenario) parseHoneycomb(n *yamlite.Node) error {
-	if n == nil || n.Kind != yamlite.KindMap {
-		return fmt.Errorf("scenario: topology.honeycomb must be a map")
-	}
 	count, rings := 0, -1
 	pitch, power := 500.0, 43.0
 	sectors := 1
 	var seedBase int64 = 1
-	for _, key := range n.Keys() {
-		val := n.Get(key)
-		switch key {
-		case "enbs":
-			v, err := posInt(val)
-			if err != nil {
-				return fmt.Errorf("scenario: topology.honeycomb.enbs must be a positive integer")
-			}
-			count = int(v)
-		case "rings":
-			v, err := nonNegInt(val)
-			if err != nil {
-				return fmt.Errorf("scenario: topology.honeycomb.rings must be a non-negative integer")
-			}
-			rings = int(v)
-		case "pitch_m":
-			f, err := val.Float()
-			if err != nil || f <= 0 {
-				return fmt.Errorf("scenario: topology.honeycomb.pitch_m must be a positive number")
-			}
-			pitch = f
-		case "sectors":
-			v, err := posInt(val)
-			if err != nil {
-				return fmt.Errorf("scenario: topology.honeycomb.sectors must be a positive integer")
-			}
-			sectors = int(v)
-		case "power_dbm":
-			f, err := val.Float()
-			if err != nil {
-				return fmt.Errorf("scenario: topology.honeycomb.power_dbm must be a number")
-			}
-			power = f
-		case "seed_base":
-			v, err := val.Int()
-			if err != nil {
-				return fmt.Errorf("scenario: topology.honeycomb.seed_base must be an integer")
-			}
-			seedBase = v
-		default:
-			return fmt.Errorf("scenario: topology.honeycomb has no knob %q", key)
-		}
+	if err := decodeMap(n, "topology.honeycomb", []knob{
+		{"enbs", &count, posInt},
+		{"rings", &rings, nonNeg},
+		{"pitch_m", &pitch, posNum},
+		{"sectors", &sectors, posInt},
+		{"power_dbm", &power, anyNum},
+		{"seed_base", &seedBase, anyInt},
+	}); err != nil {
+		return err
 	}
 	if (count == 0) == (rings < 0) {
 		return fmt.Errorf("scenario: topology.honeycomb needs exactly one of enbs or rings")
+	}
+	if rings > maxRings {
+		return fmt.Errorf("scenario: topology.honeycomb.rings must be at most %d", maxRings)
+	}
+	if count > maxENBs {
+		return fmt.Errorf("scenario: topology.honeycomb.enbs must be at most %d", maxENBs)
 	}
 	if count == 0 {
 		count = 1 + 3*rings*(rings+1)
@@ -678,390 +588,138 @@ func hexSpiral(n int) []hexAxial {
 
 func parseENB(n *yamlite.Node, where string) (ENBDecl, error) {
 	d := ENBDecl{Agent: true, Cells: 1}
-	if n == nil || n.Kind != yamlite.KindMap {
-		return d, fmt.Errorf("scenario: %s must be a map", where)
+	err := decodeMap(n, where, []knob{
+		{"id", &d.ID, posInt},
+		{"agent", &d.Agent, boolean},
+		{"seed", &d.Seed, anyInt},
+		{"cells", &d.Cells, posInt},
+		{"x", &d.X, anyNum},
+		{"y", &d.Y, anyNum},
+		{"power_dbm", func(f float64) { d.PowerDBm, d.HasSite = f, true }, anyNum},
+		{"to_master", netemInto(&d.ToMaster, where, "to_master"), custom},
+		{"to_agent", netemInto(&d.ToAgent, where, "to_agent"), custom},
+		{"policy", &d.Policy, aMap},
+	})
+	if err == nil && d.ID == 0 {
+		err = fmt.Errorf("scenario: %s.id is required", where)
 	}
-	for _, key := range n.Keys() {
-		val := n.Get(key)
-		switch key {
-		case "id":
-			v, err := posInt(val)
-			if err != nil {
-				return d, fmt.Errorf("scenario: %s.id must be a positive integer", where)
-			}
-			d.ID = lte.ENBID(v)
-		case "agent":
-			b, err := val.Bool()
-			if err != nil {
-				return d, fmt.Errorf("scenario: %s.agent must be a boolean", where)
-			}
-			d.Agent = b
-		case "seed":
-			v, err := val.Int()
-			if err != nil {
-				return d, fmt.Errorf("scenario: %s.seed must be an integer", where)
-			}
-			d.Seed = v
-		case "cells":
-			v, err := posInt(val)
-			if err != nil {
-				return d, fmt.Errorf("scenario: %s.cells must be a positive integer", where)
-			}
-			d.Cells = int(v)
-		case "x":
-			f, err := val.Float()
-			if err != nil {
-				return d, fmt.Errorf("scenario: %s.x must be a number", where)
-			}
-			d.X = f
-		case "y":
-			f, err := val.Float()
-			if err != nil {
-				return d, fmt.Errorf("scenario: %s.y must be a number", where)
-			}
-			d.Y = f
-		case "power_dbm":
-			f, err := val.Float()
-			if err != nil {
-				return d, fmt.Errorf("scenario: %s.power_dbm must be a number", where)
-			}
-			d.PowerDBm = f
-			d.HasSite = true
-		case "to_master":
-			ne, err := parseNetem(val, where+".to_master")
-			if err != nil {
-				return d, err
-			}
-			d.ToMaster = ne
-		case "to_agent":
-			ne, err := parseNetem(val, where+".to_agent")
-			if err != nil {
-				return d, err
-			}
-			d.ToAgent = ne
-		case "policy":
-			if val == nil || val.Kind != yamlite.KindMap {
-				return d, fmt.Errorf("scenario: %s.policy must be a map", where)
-			}
-			d.Policy = val
-		default:
-			return d, fmt.Errorf("scenario: %s has no knob %q", where, key)
-		}
-	}
-	if d.ID == 0 {
-		return d, fmt.Errorf("scenario: %s.id is required", where)
-	}
-	return d, nil
+	return d, err
 }
 
-func parseNetem(n *yamlite.Node, where string) (NetemDecl, error) {
-	var d NetemDecl
-	if n == nil || n.Kind != yamlite.KindMap {
-		return d, fmt.Errorf("scenario: %s must be a map", where)
+// netemInto is the hook of the netem knob key under where.
+func netemInto(d *NetemDecl, where, key string) func(*yamlite.Node) error {
+	return func(n *yamlite.Node) error {
+		return decodeMap(n, where+"."+key, []knob{
+			{"delay_tti", &d.DelayTTI, nonNeg},
+			{"jitter_tti", &d.JitterTTI, nonNeg},
+			{"loss", &d.Loss, prob},
+			{"seed", &d.Seed, anyInt},
+			{"burst_loss", &d.BurstLoss, prob},
+			{"burst_enter", &d.BurstEnter, prob},
+			{"burst_exit", &d.BurstExit, prob},
+			{"dup", &d.Dup, prob},
+			{"reorder", &d.Reorder, prob},
+			{"reorder_tti", &d.ReorderTTI, nonNeg},
+			{"corrupt", &d.Corrupt, prob},
+			{"stall_tti", &d.StallTTI, nonNeg},
+		})
 	}
-	for _, key := range n.Keys() {
-		val := n.Get(key)
-		switch key {
-		case "delay_tti":
-			v, err := nonNegInt(val)
-			if err != nil {
-				return d, fmt.Errorf("scenario: %s.delay_tti must be a non-negative integer", where)
-			}
-			d.DelayTTI = int(v)
-		case "jitter_tti":
-			v, err := nonNegInt(val)
-			if err != nil {
-				return d, fmt.Errorf("scenario: %s.jitter_tti must be a non-negative integer", where)
-			}
-			d.JitterTTI = int(v)
-		case "loss":
-			f, err := val.Float()
-			if err != nil || f < 0 || f > 1 {
-				return d, fmt.Errorf("scenario: %s.loss must be a probability in [0, 1]", where)
-			}
-			d.Loss = f
-		case "seed":
-			v, err := val.Int()
-			if err != nil {
-				return d, fmt.Errorf("scenario: %s.seed must be an integer", where)
-			}
-			d.Seed = v
-		case "burst_loss":
-			f, err := probVal(val)
-			if err != nil {
-				return d, fmt.Errorf("scenario: %s.burst_loss must be a probability in [0, 1]", where)
-			}
-			d.BurstLoss = f
-		case "burst_enter":
-			f, err := probVal(val)
-			if err != nil {
-				return d, fmt.Errorf("scenario: %s.burst_enter must be a probability in [0, 1]", where)
-			}
-			d.BurstEnter = f
-		case "burst_exit":
-			f, err := probVal(val)
-			if err != nil {
-				return d, fmt.Errorf("scenario: %s.burst_exit must be a probability in [0, 1]", where)
-			}
-			d.BurstExit = f
-		case "dup":
-			f, err := probVal(val)
-			if err != nil {
-				return d, fmt.Errorf("scenario: %s.dup must be a probability in [0, 1]", where)
-			}
-			d.Dup = f
-		case "reorder":
-			f, err := probVal(val)
-			if err != nil {
-				return d, fmt.Errorf("scenario: %s.reorder must be a probability in [0, 1]", where)
-			}
-			d.Reorder = f
-		case "reorder_tti":
-			v, err := nonNegInt(val)
-			if err != nil {
-				return d, fmt.Errorf("scenario: %s.reorder_tti must be a non-negative integer", where)
-			}
-			d.ReorderTTI = int(v)
-		case "corrupt":
-			f, err := probVal(val)
-			if err != nil {
-				return d, fmt.Errorf("scenario: %s.corrupt must be a probability in [0, 1]", where)
-			}
-			d.Corrupt = f
-		case "stall_tti":
-			v, err := nonNegInt(val)
-			if err != nil {
-				return d, fmt.Errorf("scenario: %s.stall_tti must be a non-negative integer", where)
-			}
-			d.StallTTI = int(v)
-		default:
-			return d, fmt.Errorf("scenario: %s has no knob %q", where, key)
-		}
-	}
-	return d, nil
 }
 
 func (sc *Scenario) parseUEs(n *yamlite.Node) error {
-	if n == nil || n.Kind != yamlite.KindSeq {
-		return fmt.Errorf("scenario: ues section must be a sequence")
+	if err := section(n, "ues", yamlite.KindSeq); err != nil {
+		return err
 	}
-	for i, item := range n.Items() {
-		g, err := parseUEGroup(item, fmt.Sprintf("ues[%d]", i))
+	return items(n, "ues", func(it *yamlite.Node, where string) error {
+		g, err := parseUEGroup(it, where)
 		if err != nil {
 			return err
 		}
 		sc.UEs = append(sc.UEs, g)
-	}
-	return nil
+		return nil
+	})
 }
 
 func parseUEGroup(n *yamlite.Node, where string) (UEGroup, error) {
 	g := UEGroup{Count: 1}
-	if n == nil || n.Kind != yamlite.KindMap {
-		return g, fmt.Errorf("scenario: %s must be a map", where)
+	err := decodeMap(n, where, []knob{
+		{"count", &g.Count, posInt},
+		{"enb", enbOrAll(&g.ENB, &g.AllENBs, where), custom},
+		{"cell", &g.Cell, nonNeg},
+		{"imsi_base", &g.IMSIBase, posInt},
+		{"group", &g.Group, nonNeg},
+		{"placement", func(v *yamlite.Node) (err error) {
+			g.Place, err = parsePlacement(v, where+".placement")
+			return err
+		}, custom},
+		{"mobility", func(v *yamlite.Node) (err error) {
+			g.Mobility, err = parseMobility(v, where+".mobility")
+			return err
+		}, custom},
+		{"channel", func(v *yamlite.Node) (err error) {
+			g.Channel, err = parseChannel(v, where+".channel")
+			return err
+		}, custom},
+		{"traffic", func(v *yamlite.Node) (err error) {
+			g.DL, err = parseTrafficMix(v, where+".traffic")
+			return err
+		}, custom},
+		{"uplink", func(v *yamlite.Node) (err error) {
+			g.UL, err = parseTrafficMix(v, where+".uplink")
+			return err
+		}, custom},
+	})
+	switch {
+	case err != nil:
+	case g.IMSIBase == 0:
+		err = fmt.Errorf("scenario: %s.imsi_base is required", where)
+	case g.ENB == 0 && !g.AllENBs:
+		err = fmt.Errorf("scenario: %s.enb is required", where)
 	}
-	for _, key := range n.Keys() {
-		val := n.Get(key)
-		switch key {
-		case "count":
-			v, err := posInt(val)
-			if err != nil {
-				return g, fmt.Errorf("scenario: %s.count must be a positive integer", where)
-			}
-			g.Count = int(v)
-		case "enb":
-			if val.Str() == "all" {
-				g.AllENBs = true
-				break
-			}
-			v, err := posInt(val)
-			if err != nil {
-				return g, fmt.Errorf("scenario: %s.enb must be a positive integer or \"all\"", where)
-			}
-			g.ENB = lte.ENBID(v)
-		case "cell":
-			v, err := nonNegInt(val)
-			if err != nil {
-				return g, fmt.Errorf("scenario: %s.cell must be a non-negative integer", where)
-			}
-			g.Cell = lte.CellID(v)
-		case "imsi_base":
-			v, err := posInt(val)
-			if err != nil {
-				return g, fmt.Errorf("scenario: %s.imsi_base must be a positive integer", where)
-			}
-			g.IMSIBase = uint64(v)
-		case "group":
-			v, err := nonNegInt(val)
-			if err != nil {
-				return g, fmt.Errorf("scenario: %s.group must be a non-negative integer", where)
-			}
-			g.Group = int(v)
-		case "placement":
-			p, err := parsePlacement(val, where+".placement")
-			if err != nil {
-				return g, err
-			}
-			g.Place = &p
-		case "mobility":
-			m, err := parseMobility(val, where+".mobility")
-			if err != nil {
-				return g, err
-			}
-			g.Mobility = &m
-		case "channel":
-			c, err := parseChannel(val, where+".channel")
-			if err != nil {
-				return g, err
-			}
-			g.Channel = c
-		case "traffic":
-			mix, err := parseTrafficMix(val, where+".traffic")
-			if err != nil {
-				return g, err
-			}
-			g.DL = mix
-		case "uplink":
-			mix, err := parseTrafficMix(val, where+".uplink")
-			if err != nil {
-				return g, err
-			}
-			g.UL = mix
-		default:
-			return g, fmt.Errorf("scenario: %s has no knob %q", where, key)
-		}
-	}
-	if g.IMSIBase == 0 {
-		return g, fmt.Errorf("scenario: %s.imsi_base is required", where)
-	}
-	if g.ENB == 0 && !g.AllENBs {
-		return g, fmt.Errorf("scenario: %s.enb is required", where)
-	}
-	return g, nil
+	return g, err
 }
 
-func parsePoint(n *yamlite.Node, where string) (PointDecl, error) {
-	fs, err := n.Floats()
-	if err != nil || len(fs) != 2 {
-		return PointDecl{}, fmt.Errorf("scenario: %s must be an [x, y] pair", where)
+func parsePlacement(n *yamlite.Node, where string) (*PlacementDecl, error) {
+	p := &PlacementDecl{}
+	err := decodeMap(n, where, []knob{
+		{"at", func(pt PointDecl) { p.Kind, p.At = "at", pt }, point},
+		{"from", func(pt PointDecl) { p.Kind, p.From = "line", pt }, point},
+		{"to", func(pt PointDecl) { p.Kind, p.To = "line", pt }, point},
+		{"min", func(pt PointDecl) { p.Kind, p.Min = "box", pt }, point},
+		{"max", func(pt PointDecl) { p.Kind, p.Max = "box", pt }, point},
+		{"seed", &p.Seed, anyInt},
+	})
+	if err == nil && p.Kind == "" {
+		err = fmt.Errorf("scenario: %s needs at/from+to/min+max", where)
 	}
-	return PointDecl{X: fs[0], Y: fs[1]}, nil
+	return p, err
 }
 
-func parsePlacement(n *yamlite.Node, where string) (PlacementDecl, error) {
-	var p PlacementDecl
-	if n == nil || n.Kind != yamlite.KindMap {
-		return p, fmt.Errorf("scenario: %s must be a map", where)
-	}
-	for _, key := range n.Keys() {
-		val := n.Get(key)
-		switch key {
-		case "at":
-			pt, err := parsePoint(val, where+".at")
-			if err != nil {
-				return p, err
+func parseMobility(n *yamlite.Node, where string) (*MobilityDecl, error) {
+	m := &MobilityDecl{}
+	if err := decodeMap(n, where, []knob{
+		{"model", &m.Model, text},
+		{"path", func(v *yamlite.Node) error {
+			if v.Kind != yamlite.KindSeq {
+				return fmt.Errorf("scenario: %s.path must be a sequence of [x, y] pairs", where)
 			}
-			p.Kind, p.At = "at", pt
-		case "from":
-			pt, err := parsePoint(val, where+".from")
-			if err != nil {
-				return p, err
-			}
-			p.Kind, p.From = "line", pt
-		case "to":
-			pt, err := parsePoint(val, where+".to")
-			if err != nil {
-				return p, err
-			}
-			p.Kind, p.To = "line", pt
-		case "min":
-			pt, err := parsePoint(val, where+".min")
-			if err != nil {
-				return p, err
-			}
-			p.Kind, p.Min = "box", pt
-		case "max":
-			pt, err := parsePoint(val, where+".max")
-			if err != nil {
-				return p, err
-			}
-			p.Kind, p.Max = "box", pt
-		case "seed":
-			v, err := val.Int()
-			if err != nil {
-				return p, fmt.Errorf("scenario: %s.seed must be an integer", where)
-			}
-			p.Seed = v
-		default:
-			return p, fmt.Errorf("scenario: %s has no knob %q", where, key)
-		}
-	}
-	if p.Kind == "" {
-		return p, fmt.Errorf("scenario: %s needs at/from+to/min+max", where)
-	}
-	return p, nil
-}
-
-func parseMobility(n *yamlite.Node, where string) (MobilityDecl, error) {
-	var m MobilityDecl
-	if n == nil || n.Kind != yamlite.KindMap {
-		return m, fmt.Errorf("scenario: %s must be a map", where)
-	}
-	for _, key := range n.Keys() {
-		val := n.Get(key)
-		switch key {
-		case "model":
-			m.Model = val.Str()
-		case "path":
-			if val == nil || val.Kind != yamlite.KindSeq {
-				return m, fmt.Errorf("scenario: %s.path must be a sequence of [x, y] pairs", where)
-			}
-			for _, it := range val.Items() {
-				pt, err := parsePoint(it, where+".path")
-				if err != nil {
-					return m, err
+			for _, it := range v.Items() {
+				pt, ok := asPoint(it)
+				if !ok {
+					return badKnob(where, "path", point)
 				}
 				m.Path = append(m.Path, pt)
 			}
-		case "speed_mps":
-			f, err := val.Float()
-			if err != nil || f < 0 {
-				return m, fmt.Errorf("scenario: %s.speed_mps must be a non-negative number", where)
-			}
-			m.SpeedMps = f
-		case "speed_step_mps":
-			f, err := val.Float()
-			if err != nil {
-				return m, fmt.Errorf("scenario: %s.speed_step_mps must be a number", where)
-			}
-			m.SpeedStepMps = f
-		case "ping_pong":
-			b, err := val.Bool()
-			if err != nil {
-				return m, fmt.Errorf("scenario: %s.ping_pong must be a boolean", where)
-			}
-			m.PingPong = b
-		case "min":
-			pt, err := parsePoint(val, where+".min")
-			if err != nil {
-				return m, err
-			}
-			m.Min = pt
-		case "max":
-			pt, err := parsePoint(val, where+".max")
-			if err != nil {
-				return m, err
-			}
-			m.Max = pt
-		case "seed":
-			v, err := val.Int()
-			if err != nil {
-				return m, fmt.Errorf("scenario: %s.seed must be an integer", where)
-			}
-			m.Seed = v
-		default:
-			return m, fmt.Errorf("scenario: %s has no knob %q", where, key)
-		}
+			return nil
+		}, custom},
+		{"speed_mps", &m.SpeedMps, nonNegNum},
+		{"speed_step_mps", &m.SpeedStepMps, anyNum},
+		{"ping_pong", &m.PingPong, boolean},
+		{"min", &m.Min, point},
+		{"max", &m.Max, point},
+		{"seed", &m.Seed, anyInt},
+	}); err != nil {
+		return m, err
 	}
 	switch m.Model {
 	case "static", "waypoint", "random_waypoint":
@@ -1078,89 +736,22 @@ func parseMobility(n *yamlite.Node, where string) (MobilityDecl, error) {
 
 func parseChannel(n *yamlite.Node, where string) (ChannelDecl, error) {
 	c := ChannelDecl{Model: "auto", Rho: 0.99, Sigma: 1.5}
-	if n == nil || n.Kind != yamlite.KindMap {
-		return c, fmt.Errorf("scenario: %s must be a map", where)
-	}
-	for _, key := range n.Keys() {
-		val := n.Get(key)
-		switch key {
-		case "model":
-			c.Model = val.Str()
-		case "cqi":
-			v, err := cqiVal(val)
-			if err != nil {
-				return c, fmt.Errorf("scenario: %s.cqi must be a CQI in [1, 15]", where)
-			}
-			c.CQI = v
-		case "mean":
-			f, err := val.Float()
-			if err != nil {
-				return c, fmt.Errorf("scenario: %s.mean must be a number", where)
-			}
-			c.Mean = f
-		case "rho":
-			f, err := val.Float()
-			if err != nil || f < 0 || f >= 1 {
-				return c, fmt.Errorf("scenario: %s.rho must be in [0, 1)", where)
-			}
-			c.Rho = f
-		case "sigma":
-			f, err := val.Float()
-			if err != nil || f < 0 {
-				return c, fmt.Errorf("scenario: %s.sigma must be a non-negative number", where)
-			}
-			c.Sigma = f
-		case "seed":
-			v, err := val.Int()
-			if err != nil {
-				return c, fmt.Errorf("scenario: %s.seed must be an integer", where)
-			}
-			c.Seed = v
-		case "a":
-			v, err := cqiVal(val)
-			if err != nil {
-				return c, fmt.Errorf("scenario: %s.a must be a CQI in [1, 15]", where)
-			}
-			c.A = v
-		case "b":
-			v, err := cqiVal(val)
-			if err != nil {
-				return c, fmt.Errorf("scenario: %s.b must be a CQI in [1, 15]", where)
-			}
-			c.B = v
-		case "half_period_tti":
-			v, err := posInt(val)
-			if err != nil {
-				return c, fmt.Errorf("scenario: %s.half_period_tti must be a positive integer", where)
-			}
-			c.HalfPeriodTTI = v
-		case "clear":
-			v, err := cqiVal(val)
-			if err != nil {
-				return c, fmt.Errorf("scenario: %s.clear must be a CQI in [1, 15]", where)
-			}
-			c.Clear = v
-		case "hit":
-			v, err := cqiVal(val)
-			if err != nil {
-				return c, fmt.Errorf("scenario: %s.hit must be a CQI in [1, 15]", where)
-			}
-			c.Hit = v
-		case "interferer_enb":
-			v, err := posInt(val)
-			if err != nil {
-				return c, fmt.Errorf("scenario: %s.interferer_enb must be a positive integer", where)
-			}
-			c.InterfererENB = lte.ENBID(v)
-		case "interferer_cell":
-			v, err := nonNegInt(val)
-			if err != nil {
-				return c, fmt.Errorf("scenario: %s.interferer_cell must be a non-negative integer", where)
-			}
-			c.InterfererCell = lte.CellID(v)
-		default:
-			return c, fmt.Errorf("scenario: %s has no knob %q", where, key)
-		}
+	if err := decodeMap(n, where, []knob{
+		{"model", &c.Model, text},
+		{"cqi", &c.CQI, cqi},
+		{"mean", &c.Mean, anyNum},
+		{"rho", &c.Rho, rule{lo: 0, hi: 1, openHi: true, want: "in [0, 1)"}},
+		{"sigma", &c.Sigma, nonNegNum},
+		{"seed", &c.Seed, anyInt},
+		{"a", &c.A, cqi},
+		{"b", &c.B, cqi},
+		{"half_period_tti", &c.HalfPeriodTTI, posInt},
+		{"clear", &c.Clear, cqi},
+		{"hit", &c.Hit, cqi},
+		{"interferer_enb", &c.InterfererENB, posInt},
+		{"interferer_cell", &c.InterfererCell, nonNeg},
+	}); err != nil {
+		return c, err
 	}
 	switch c.Model {
 	case "auto", "geo":
@@ -1187,16 +778,16 @@ func parseChannel(n *yamlite.Node, where string) (ChannelDecl, error) {
 }
 
 func parseTrafficMix(n *yamlite.Node, where string) ([]TrafficDecl, error) {
-	if n == nil || n.Kind != yamlite.KindSeq {
-		return nil, fmt.Errorf("scenario: %s must be a sequence", where)
-	}
 	var mix []TrafficDecl
-	for i, item := range n.Items() {
-		d, err := parseTraffic(item, fmt.Sprintf("%s[%d]", where, i))
+	if err := items(n, where, func(it *yamlite.Node, where string) error {
+		d, err := parseTraffic(it, where)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		mix = append(mix, d)
+		return nil
+	}); err != nil {
+		return nil, err
 	}
 	if len(mix) == 0 {
 		return nil, fmt.Errorf("scenario: %s must not be empty", where)
@@ -1216,71 +807,19 @@ func parseTrafficMix(n *yamlite.Node, where string) ([]TrafficDecl, error) {
 
 func parseTraffic(n *yamlite.Node, where string) (TrafficDecl, error) {
 	var d TrafficDecl
-	if n == nil || n.Kind != yamlite.KindMap {
-		return d, fmt.Errorf("scenario: %s must be a map", where)
-	}
-	for _, key := range n.Keys() {
-		val := n.Get(key)
-		switch key {
-		case "kind":
-			d.Kind = val.Str()
-		case "share":
-			f, err := val.Float()
-			if err != nil || f <= 0 || f > 1 {
-				return d, fmt.Errorf("scenario: %s.share must be in (0, 1]", where)
-			}
-			d.Share = f
-		case "rate_kbps":
-			f, err := val.Float()
-			if err != nil || f <= 0 {
-				return d, fmt.Errorf("scenario: %s.rate_kbps must be a positive number", where)
-			}
-			d.RateKbps = f
-		case "mean_kbps":
-			f, err := val.Float()
-			if err != nil || f <= 0 {
-				return d, fmt.Errorf("scenario: %s.mean_kbps must be a positive number", where)
-			}
-			d.MeanKbps = f
-		case "packet_bytes":
-			v, err := posInt(val)
-			if err != nil {
-				return d, fmt.Errorf("scenario: %s.packet_bytes must be a positive integer", where)
-			}
-			d.PacketBytes = int(v)
-		case "on_tti":
-			v, err := posInt(val)
-			if err != nil {
-				return d, fmt.Errorf("scenario: %s.on_tti must be a positive integer", where)
-			}
-			d.OnTTI = int(v)
-		case "off_tti":
-			v, err := posInt(val)
-			if err != nil {
-				return d, fmt.Errorf("scenario: %s.off_tti must be a positive integer", where)
-			}
-			d.OffTTI = int(v)
-		case "start_tti":
-			v, err := nonNegInt(val)
-			if err != nil {
-				return d, fmt.Errorf("scenario: %s.start_tti must be a non-negative integer", where)
-			}
-			d.StartTTI = v
-		case "stop_tti":
-			v, err := nonNegInt(val)
-			if err != nil {
-				return d, fmt.Errorf("scenario: %s.stop_tti must be a non-negative integer", where)
-			}
-			d.StopTTI = v
-		case "seed":
-			v, err := val.Int()
-			if err != nil {
-				return d, fmt.Errorf("scenario: %s.seed must be an integer", where)
-			}
-			d.Seed = v
-		default:
-			return d, fmt.Errorf("scenario: %s has no knob %q", where, key)
-		}
+	if err := decodeMap(n, where, []knob{
+		{"kind", &d.Kind, text},
+		{"share", &d.Share, fraction},
+		{"rate_kbps", &d.RateKbps, posNum},
+		{"mean_kbps", &d.MeanKbps, posNum},
+		{"packet_bytes", &d.PacketBytes, posInt},
+		{"on_tti", &d.OnTTI, posInt},
+		{"off_tti", &d.OffTTI, posInt},
+		{"start_tti", &d.StartTTI, nonNeg},
+		{"stop_tti", &d.StopTTI, nonNeg},
+		{"seed", &d.Seed, anyInt},
+	}); err != nil {
+		return d, err
 	}
 	switch d.Kind {
 	case "cbr":
@@ -1312,100 +851,35 @@ func (sc *Scenario) parseMaster(n *yamlite.Node) error {
 	if n == nil || n.Kind != yamlite.KindMap {
 		return fmt.Errorf("scenario: master section must be a map or \"none\"")
 	}
-	for _, key := range n.Keys() {
-		val := n.Get(key)
-		switch key {
-		case "stats_period_tti":
-			v, err := nonNegInt(val)
-			if err != nil {
-				return fmt.Errorf("scenario: master.stats_period_tti must be a non-negative integer")
-			}
-			sc.Master.StatsPeriodTTI = int(v)
-		case "sync_period_tti":
-			v, err := nonNegInt(val)
-			if err != nil {
-				return fmt.Errorf("scenario: master.sync_period_tti must be a non-negative integer")
-			}
-			sc.Master.SyncPeriodTTI = int(v)
-		case "echo_period_tti":
-			v, err := nonNegInt(val)
-			if err != nil {
-				return fmt.Errorf("scenario: master.echo_period_tti must be a non-negative integer")
-			}
-			sc.Master.EchoPeriodTTI = int(v)
-		case "echo_miss_budget":
-			v, err := nonNegInt(val)
-			if err != nil {
-				return fmt.Errorf("scenario: master.echo_miss_budget must be a non-negative integer")
-			}
-			sc.Master.EchoMissBudget = int(v)
-		case "no_resync":
-			b, err := val.Bool()
-			if err != nil {
-				return fmt.Errorf("scenario: master.no_resync must be a boolean")
-			}
-			sc.Master.NoResync = b
-		case "workers":
-			v, err := nonNegInt(val)
-			if err != nil {
-				return fmt.Errorf("scenario: master.workers must be a non-negative integer")
-			}
-			sc.Master.Workers = int(v)
-		case "health_period_tti":
-			v, err := nonNegInt(val)
-			if err != nil {
-				return fmt.Errorf("scenario: master.health_period_tti must be a non-negative integer")
-			}
-			sc.Master.HealthPeriodTTI = int(v)
-		case "health_suspect_tti":
-			v, err := nonNegInt(val)
-			if err != nil {
-				return fmt.Errorf("scenario: master.health_suspect_tti must be a non-negative integer")
-			}
-			sc.Master.HealthSuspectTTI = int(v)
-		case "health_degraded_tti":
-			v, err := nonNegInt(val)
-			if err != nil {
-				return fmt.Errorf("scenario: master.health_degraded_tti must be a non-negative integer")
-			}
-			sc.Master.HealthDegradedTTI = int(v)
-		case "health_recover_tti":
-			v, err := nonNegInt(val)
-			if err != nil {
-				return fmt.Errorf("scenario: master.health_recover_tti must be a non-negative integer")
-			}
-			sc.Master.HealthRecoverTTI = int(v)
-		case "cmd_retry_tti":
-			v, err := nonNegInt(val)
-			if err != nil {
-				return fmt.Errorf("scenario: master.cmd_retry_tti must be a non-negative integer")
-			}
-			sc.Master.CmdRetryTTI = int(v)
-		case "cmd_retry_budget":
-			v, err := nonNegInt(val)
-			if err != nil {
-				return fmt.Errorf("scenario: master.cmd_retry_budget must be a non-negative integer")
-			}
-			sc.Master.CmdRetryBudget = int(v)
-		default:
-			return fmt.Errorf("scenario: master has no knob %q", key)
-		}
-	}
-	return nil
+	m := sc.Master
+	return decodeMap(n, "master", []knob{
+		{"stats_period_tti", &m.StatsPeriodTTI, nonNeg},
+		{"sync_period_tti", &m.SyncPeriodTTI, nonNeg},
+		{"echo_period_tti", &m.EchoPeriodTTI, nonNeg},
+		{"echo_miss_budget", &m.EchoMissBudget, nonNeg},
+		{"no_resync", &m.NoResync, boolean},
+		{"workers", &m.Workers, nonNeg},
+		{"health_period_tti", &m.HealthPeriodTTI, nonNeg},
+		{"health_suspect_tti", &m.HealthSuspectTTI, nonNeg},
+		{"health_degraded_tti", &m.HealthDegradedTTI, nonNeg},
+		{"health_recover_tti", &m.HealthRecoverTTI, nonNeg},
+		{"cmd_retry_tti", &m.CmdRetryTTI, nonNeg},
+		{"cmd_retry_budget", &m.CmdRetryBudget, nonNeg},
+	})
 }
 
 func (sc *Scenario) parseApps(n *yamlite.Node) error {
-	if n == nil || n.Kind != yamlite.KindSeq {
-		return fmt.Errorf("scenario: apps section must be a sequence")
+	if err := section(n, "apps", yamlite.KindSeq); err != nil {
+		return err
 	}
-	for i, item := range n.Items() {
-		a, err := parseApp(item, fmt.Sprintf("apps[%d]", i))
+	return items(n, "apps", func(it *yamlite.Node, where string) error {
+		a, err := parseApp(it, where)
 		if err != nil {
 			return err
 		}
 		sc.Apps = append(sc.Apps, a)
-	}
-	return nil
+		return nil
+	})
 }
 
 func parseApp(n *yamlite.Node, where string) (AppDecl, error) {
@@ -1415,119 +889,43 @@ func parseApp(n *yamlite.Node, where string) (AppDecl, error) {
 		CommandTimeoutTTI: 200,
 		ABS:               4,
 	}
-	if n == nil || n.Kind != yamlite.KindMap {
-		return a, fmt.Errorf("scenario: %s must be a map", where)
-	}
-	for _, key := range n.Keys() {
-		val := n.Get(key)
-		switch key {
-		case "kind":
-			a.Kind = val.Str()
-		case "period_tti":
-			v, err := posInt(val)
-			if err != nil {
-				return a, fmt.Errorf("scenario: %s.period_tti must be a positive integer", where)
-			}
-			a.PeriodTTI = int(v)
-		case "policy":
-			switch val.Str() {
-			case "strongest", "load_balanced":
-				a.Policy = val.Str()
-			default:
-				return a, fmt.Errorf("scenario: %s.policy: unknown target policy %q", where, val.Str())
-			}
-		case "load_weight":
-			f, err := val.Float()
-			if err != nil || f < 0 {
-				return a, fmt.Errorf("scenario: %s.load_weight must be a non-negative number", where)
-			}
-			a.LoadWeight = f
-		case "min_margin_db":
-			f, err := val.Float()
-			if err != nil || f < 0 {
-				return a, fmt.Errorf("scenario: %s.min_margin_db must be a non-negative number", where)
-			}
-			a.MinMarginDB = f
-		case "command_timeout_tti":
-			v, err := posInt(val)
-			if err != nil {
-				return a, fmt.Errorf("scenario: %s.command_timeout_tti must be a positive integer", where)
-			}
-			a.CommandTimeoutTTI = int(v)
-		case "retune_at":
-			v, err := posInt(val)
-			if err != nil {
-				return a, fmt.Errorf("scenario: %s.retune_at must be a positive integer", where)
-			}
-			a.RetuneAt = v
-		case "retune_policy":
-			switch val.Str() {
-			case "strongest", "load_balanced":
-				a.RetunePolicy = val.Str()
-			default:
-				return a, fmt.Errorf("scenario: %s.retune_policy: unknown target policy %q", where, val.Str())
-			}
-		case "retune_load_weight":
-			f, err := val.Float()
-			if err != nil || f < 0 {
-				return a, fmt.Errorf("scenario: %s.retune_load_weight must be a non-negative number", where)
-			}
-			a.RetuneLoadWeight = f
-		case "enb":
-			v, err := posInt(val)
-			if err != nil {
-				return a, fmt.Errorf("scenario: %s.enb must be a positive integer", where)
-			}
-			a.ENB = lte.ENBID(v)
-		case "plan":
-			if val == nil || val.Kind != yamlite.KindSeq {
-				return a, fmt.Errorf("scenario: %s.plan must be a sequence", where)
-			}
-			for j, it := range val.Items() {
-				ch, err := parseShareChange(it, fmt.Sprintf("%s.plan[%d]", where, j))
+	if err := decodeMap(n, where, []knob{
+		{"kind", &a.Kind, text},
+		{"period_tti", &a.PeriodTTI, posInt},
+		{"policy", oneOf(&a.Policy, where+".policy", "target policy", "strongest", "load_balanced"), custom},
+		{"load_weight", &a.LoadWeight, nonNegNum},
+		{"min_margin_db", &a.MinMarginDB, nonNegNum},
+		{"command_timeout_tti", &a.CommandTimeoutTTI, posInt},
+		{"retune_at", &a.RetuneAt, posInt},
+		{"retune_policy", oneOf(&a.RetunePolicy, where+".retune_policy", "target policy", "strongest", "load_balanced"), custom},
+		{"retune_load_weight", &a.RetuneLoadWeight, nonNegNum},
+		{"enb", &a.ENB, posInt},
+		{"plan", func(v *yamlite.Node) error {
+			return items(v, where+".plan", func(it *yamlite.Node, where string) error {
+				ch, err := parseShareChange(it, where)
 				if err != nil {
-					return a, err
+					return err
 				}
 				a.Plan = append(a.Plan, ch)
-			}
-		case "macro_enb":
-			v, err := posInt(val)
-			if err != nil {
-				return a, fmt.Errorf("scenario: %s.macro_enb must be a positive integer", where)
-			}
-			a.MacroENB = lte.ENBID(v)
-		case "macro_cell":
-			v, err := nonNegInt(val)
-			if err != nil {
-				return a, fmt.Errorf("scenario: %s.macro_cell must be a non-negative integer", where)
-			}
-			a.MacroCell = lte.CellID(v)
-		case "small_enbs":
-			if val == nil || val.Kind != yamlite.KindSeq {
-				return a, fmt.Errorf("scenario: %s.small_enbs must be a sequence", where)
-			}
-			for _, it := range val.Items() {
-				v, err := posInt(it)
-				if err != nil {
-					return a, fmt.Errorf("scenario: %s.small_enbs must hold positive integers", where)
+				return nil
+			})
+		}, custom},
+		{"macro_enb", &a.MacroENB, posInt},
+		{"macro_cell", &a.MacroCell, nonNeg},
+		{"small_enbs", func(v *yamlite.Node) error {
+			return items(v, where+".small_enbs", func(it *yamlite.Node, _ string) error {
+				id, ok := posInt.asInt(it)
+				if !ok {
+					return fmt.Errorf("scenario: %s.small_enbs must hold positive integers", where)
 				}
-				a.SmallENBs = append(a.SmallENBs, lte.ENBID(v))
-			}
-		case "abs":
-			v, err := posInt(val)
-			if err != nil || v > 9 {
-				return a, fmt.Errorf("scenario: %s.abs must be in [1, 9]", where)
-			}
-			a.ABS = int(v)
-		case "optimized":
-			b, err := val.Bool()
-			if err != nil {
-				return a, fmt.Errorf("scenario: %s.optimized must be a boolean", where)
-			}
-			a.Optimized = b
-		default:
-			return a, fmt.Errorf("scenario: %s has no knob %q", where, key)
-		}
+				a.SmallENBs = append(a.SmallENBs, lte.ENBID(id))
+				return nil
+			})
+		}, custom},
+		{"abs", &a.ABS, rule{lo: 1, hi: 9, want: "in [1, 9]"}},
+		{"optimized", &a.Optimized, boolean},
+	}); err != nil {
+		return a, err
 	}
 	if a.Kind != "mobility" && (a.RetuneAt > 0 || a.RetunePolicy != "") {
 		return a, fmt.Errorf("scenario: %s: retune knobs apply to mobility apps only", where)
@@ -1558,79 +956,29 @@ func parseApp(n *yamlite.Node, where string) (AppDecl, error) {
 
 func parseShareChange(n *yamlite.Node, where string) (ShareChangeDecl, error) {
 	var ch ShareChangeDecl
-	if n == nil || n.Kind != yamlite.KindMap {
-		return ch, fmt.Errorf("scenario: %s must be a map", where)
+	err := decodeMap(n, where, []knob{
+		{"at", &ch.At, nonNeg},
+		{"shares", &ch.Shares, floats},
+	})
+	if err == nil && ch.Shares == nil {
+		err = fmt.Errorf("scenario: %s.shares is required", where)
 	}
-	for _, key := range n.Keys() {
-		val := n.Get(key)
-		switch key {
-		case "at":
-			v, err := nonNegInt(val)
-			if err != nil {
-				return ch, fmt.Errorf("scenario: %s.at must be a non-negative integer", where)
-			}
-			ch.At = v
-		case "shares":
-			fs, err := val.Floats()
-			if err != nil || len(fs) == 0 {
-				return ch, fmt.Errorf("scenario: %s.shares must be a float sequence", where)
-			}
-			ch.Shares = fs
-		default:
-			return ch, fmt.Errorf("scenario: %s has no knob %q", where, key)
-		}
-	}
-	if ch.Shares == nil {
-		return ch, fmt.Errorf("scenario: %s.shares is required", where)
-	}
-	return ch, nil
+	return ch, err
 }
 
 func (sc *Scenario) parseSlicing(n *yamlite.Node) error {
-	if n == nil || n.Kind != yamlite.KindSeq {
-		return fmt.Errorf("scenario: slicing section must be a sequence")
+	if err := section(n, "slicing", yamlite.KindSeq); err != nil {
+		return err
 	}
-	for i, item := range n.Items() {
-		where := fmt.Sprintf("slicing[%d]", i)
+	return items(n, "slicing", func(it *yamlite.Node, where string) error {
 		d := SliceDecl{Scheduler: "rr"}
-		if item == nil || item.Kind != yamlite.KindMap {
-			return fmt.Errorf("scenario: %s must be a map", where)
-		}
-		for _, key := range item.Keys() {
-			val := item.Get(key)
-			switch key {
-			case "enb":
-				if val.Str() == "all" {
-					d.All = true
-					break
-				}
-				v, err := posInt(val)
-				if err != nil {
-					return fmt.Errorf("scenario: %s.enb must be a positive integer or \"all\"", where)
-				}
-				d.ENB = lte.ENBID(v)
-			case "shares":
-				fs, err := val.Floats()
-				if err != nil || len(fs) == 0 {
-					return fmt.Errorf("scenario: %s.shares must be a float sequence", where)
-				}
-				d.Shares = fs
-			case "work_conserving":
-				b, err := val.Bool()
-				if err != nil {
-					return fmt.Errorf("scenario: %s.work_conserving must be a boolean", where)
-				}
-				d.WorkConserving = b
-			case "scheduler":
-				switch val.Str() {
-				case "rr", "pf":
-					d.Scheduler = val.Str()
-				default:
-					return fmt.Errorf("scenario: %s.scheduler: unknown scheduler %q", where, val.Str())
-				}
-			default:
-				return fmt.Errorf("scenario: %s has no knob %q", where, key)
-			}
+		if err := decodeMap(it, where, []knob{
+			{"enb", enbOrAll(&d.ENB, &d.All, where), custom},
+			{"shares", &d.Shares, floats},
+			{"work_conserving", &d.WorkConserving, boolean},
+			{"scheduler", oneOf(&d.Scheduler, where+".scheduler", "scheduler", "rr", "pf"), custom},
+		}); err != nil {
+			return err
 		}
 		if d.Shares == nil {
 			return fmt.Errorf("scenario: %s.shares is required", where)
@@ -1649,69 +997,34 @@ func (sc *Scenario) parseSlicing(n *yamlite.Node) error {
 			return fmt.Errorf("scenario: %s.shares sum to %.3f, want <= 1.0", where, sum)
 		}
 		sc.Slices = append(sc.Slices, d)
-	}
-	return nil
+		return nil
+	})
 }
 
 func (sc *Scenario) parseSlices(n *yamlite.Node) error {
-	if n == nil || n.Kind != yamlite.KindMap {
-		return fmt.Errorf("scenario: slices section must be a map")
+	if err := section(n, "slices", yamlite.KindMap); err != nil {
+		return err
 	}
 	d := &SlicesDecl{Elastic: true, Scheduler: "rr"}
-	for _, key := range n.Keys() {
-		val := n.Get(key)
-		switch key {
-		case "epoch_ttis":
-			v, err := posInt(val)
-			if err != nil {
-				return fmt.Errorf("scenario: slices.epoch_ttis must be a positive integer")
-			}
-			d.EpochTTIs = int(v)
-		case "elastic":
-			b, err := val.Bool()
-			if err != nil {
-				return fmt.Errorf("scenario: slices.elastic must be a boolean")
-			}
-			d.Elastic = b
-		case "work_conserving":
-			b, err := val.Bool()
-			if err != nil {
-				return fmt.Errorf("scenario: slices.work_conserving must be a boolean")
-			}
-			d.WorkConserving = b
-		case "scheduler":
-			switch val.Str() {
-			case "rr", "pf":
-				d.Scheduler = val.Str()
-			default:
-				return fmt.Errorf("scenario: slices.scheduler: unknown scheduler %q", val.Str())
-			}
-		case "hysteresis_epochs":
-			v, err := posInt(val)
-			if err != nil {
-				return fmt.Errorf("scenario: slices.hysteresis_epochs must be a positive integer")
-			}
-			d.HysteresisEpochs = int(v)
-		case "degrade_factor":
-			f, err := val.Float()
-			if err != nil || f <= 0 || f > 1 {
-				return fmt.Errorf("scenario: slices.degrade_factor must be in (0, 1]")
-			}
-			d.DegradeFactor = f
-		case "specs":
-			if val == nil || val.Kind != yamlite.KindSeq {
-				return fmt.Errorf("scenario: slices.specs must be a sequence")
-			}
-			for i, item := range val.Items() {
-				sp, err := parseSliceSpec(item, fmt.Sprintf("slices.specs[%d]", i))
+	if err := decodeMap(n, "slices", []knob{
+		{"epoch_ttis", &d.EpochTTIs, posInt},
+		{"elastic", &d.Elastic, boolean},
+		{"work_conserving", &d.WorkConserving, boolean},
+		{"scheduler", oneOf(&d.Scheduler, "slices.scheduler", "scheduler", "rr", "pf"), custom},
+		{"hysteresis_epochs", &d.HysteresisEpochs, posInt},
+		{"degrade_factor", &d.DegradeFactor, fraction},
+		{"specs", func(v *yamlite.Node) error {
+			return items(v, "slices.specs", func(it *yamlite.Node, where string) error {
+				sp, err := parseSliceSpec(it, where)
 				if err != nil {
 					return err
 				}
 				d.Specs = append(d.Specs, sp)
-			}
-		default:
-			return fmt.Errorf("scenario: slices has no knob %q", key)
-		}
+				return nil
+			})
+		}, custom},
+	}); err != nil {
+		return err
 	}
 	if len(d.Specs) == 0 {
 		return fmt.Errorf("scenario: slices.specs must declare at least one slice")
@@ -1722,65 +1035,18 @@ func (sc *Scenario) parseSlices(n *yamlite.Node) error {
 
 func parseSliceSpec(n *yamlite.Node, where string) (slice.Spec, error) {
 	var sp slice.Spec
-	if n == nil || n.Kind != yamlite.KindMap {
-		return sp, fmt.Errorf("scenario: %s must be a map", where)
-	}
-	for _, key := range n.Keys() {
-		val := n.Get(key)
-		switch key {
-		case "name":
-			sp.Name = val.Str()
-		case "group":
-			v, err := nonNegInt(val)
-			if err != nil {
-				return sp, fmt.Errorf("scenario: %s.group must be a non-negative integer", where)
-			}
-			sp.Group = int(v)
-		case "weight":
-			f, err := val.Float()
-			if err != nil || f < 0 {
-				return sp, fmt.Errorf("scenario: %s.weight must be a non-negative number", where)
-			}
-			sp.Weight = f
-		case "min_throughput_kbps":
-			f, err := val.Float()
-			if err != nil || f <= 0 {
-				return sp, fmt.Errorf("scenario: %s.min_throughput_kbps must be a positive number", where)
-			}
-			sp.SLA.MinThroughputKbps = f
-		case "max_queue_ms":
-			f, err := val.Float()
-			if err != nil || f <= 0 {
-				return sp, fmt.Errorf("scenario: %s.max_queue_ms must be a positive number", where)
-			}
-			sp.SLA.MaxQueueMs = f
-		case "arrive_at":
-			v, err := nonNegInt(val)
-			if err != nil {
-				return sp, fmt.Errorf("scenario: %s.arrive_at must be a non-negative integer", where)
-			}
-			sp.ArriveAt = v
-		case "admit_above":
-			f, err := val.Float()
-			if err != nil || f < 0 {
-				return sp, fmt.Errorf("scenario: %s.admit_above must be a non-negative number", where)
-			}
-			sp.Admission.AdmitAbove = f
-		case "reject_below":
-			f, err := val.Float()
-			if err != nil || f < 0 {
-				return sp, fmt.Errorf("scenario: %s.reject_below must be a non-negative number", where)
-			}
-			sp.Admission.RejectBelow = f
-		case "hysteresis_epochs":
-			v, err := posInt(val)
-			if err != nil {
-				return sp, fmt.Errorf("scenario: %s.hysteresis_epochs must be a positive integer", where)
-			}
-			sp.HysteresisEpochs = int(v)
-		default:
-			return sp, fmt.Errorf("scenario: %s has no knob %q", where, key)
-		}
+	if err := decodeMap(n, where, []knob{
+		{"name", &sp.Name, text},
+		{"group", &sp.Group, nonNeg},
+		{"weight", &sp.Weight, nonNegNum},
+		{"min_throughput_kbps", &sp.SLA.MinThroughputKbps, posNum},
+		{"max_queue_ms", &sp.SLA.MaxQueueMs, posNum},
+		{"arrive_at", &sp.ArriveAt, nonNeg},
+		{"admit_above", &sp.Admission.AdmitAbove, nonNegNum},
+		{"reject_below", &sp.Admission.RejectBelow, nonNegNum},
+		{"hysteresis_epochs", &sp.HysteresisEpochs, posInt},
+	}); err != nil {
+		return sp, err
 	}
 	if err := sp.Validate(); err != nil {
 		return sp, fmt.Errorf("scenario: %s: %v", where, err)
@@ -1789,52 +1055,26 @@ func parseSliceSpec(n *yamlite.Node, where string) (slice.Spec, error) {
 }
 
 func (sc *Scenario) parseFaults(n *yamlite.Node) error {
-	if n == nil || n.Kind != yamlite.KindSeq {
-		return fmt.Errorf("scenario: faults section must be a sequence")
+	if err := section(n, "faults", yamlite.KindSeq); err != nil {
+		return err
 	}
-	for i, item := range n.Items() {
-		where := fmt.Sprintf("faults[%d]", i)
+	return items(n, "faults", func(it *yamlite.Node, where string) error {
 		var d FaultDecl
-		if item == nil || item.Kind != yamlite.KindMap {
-			return fmt.Errorf("scenario: %s must be a map", where)
-		}
-		for _, key := range item.Keys() {
-			val := item.Get(key)
-			switch key {
-			case "at":
-				v, err := nonNegInt(val)
-				if err != nil {
-					return fmt.Errorf("scenario: %s.at must be a non-negative integer", where)
-				}
-				d.At = v
-			case "kind":
-				switch val.Str() {
-				case "link_cut", "link_restore", "agent_restart", "netem_set", "agent_stall", "agent_resume":
-					d.Kind = val.Str()
-				default:
-					return fmt.Errorf("scenario: %s: unknown fault kind %q", where, val.Str())
-				}
-			case "enb":
-				v, err := posInt(val)
-				if err != nil {
-					return fmt.Errorf("scenario: %s.enb must be a positive integer", where)
-				}
-				d.ENB = lte.ENBID(v)
-			case "to_master":
-				ne, err := parseNetem(val, where+".to_master")
-				if err != nil {
-					return err
-				}
-				d.ToMaster = &ne
-			case "to_agent":
-				ne, err := parseNetem(val, where+".to_agent")
-				if err != nil {
-					return err
-				}
-				d.ToAgent = &ne
-			default:
-				return fmt.Errorf("scenario: %s has no knob %q", where, key)
-			}
+		if err := decodeMap(it, where, []knob{
+			{"at", &d.At, nonNeg},
+			{"kind", oneOf(&d.Kind, where, "fault kind",
+				"link_cut", "link_restore", "agent_restart", "netem_set", "agent_stall", "agent_resume"), custom},
+			{"enb", &d.ENB, posInt},
+			{"to_master", func(v *yamlite.Node) error {
+				d.ToMaster = &NetemDecl{}
+				return netemInto(d.ToMaster, where, "to_master")(v)
+			}, custom},
+			{"to_agent", func(v *yamlite.Node) error {
+				d.ToAgent = &NetemDecl{}
+				return netemInto(d.ToAgent, where, "to_agent")(v)
+			}, custom},
+		}); err != nil {
+			return err
 		}
 		if d.Kind == "" {
 			return fmt.Errorf("scenario: %s.kind is required", where)
@@ -1843,8 +1083,8 @@ func (sc *Scenario) parseFaults(n *yamlite.Node) error {
 			return fmt.Errorf("scenario: %s.enb is required", where)
 		}
 		sc.Faults = append(sc.Faults, d)
-	}
-	return nil
+		return nil
+	})
 }
 
 // ---------------------------------------------------------------------------
@@ -1875,6 +1115,7 @@ func (sc *Scenario) validate() error {
 		}
 	}
 	imsis := map[uint64]bool{}
+	population := 0
 	for i := range sc.UEs {
 		g := &sc.UEs[i]
 		where := fmt.Sprintf("ues[%d]", i)
@@ -1892,10 +1133,11 @@ func (sc *Scenario) validate() error {
 				return fmt.Errorf("scenario: %s.cell: eNodeB %d has no cell %d", where, t.ID, g.Cell)
 			}
 		}
-		n := g.Count
-		if g.AllENBs {
-			n *= len(sc.ENBs)
+		if g.Count > (maxUEs-population)/len(targets) {
+			return fmt.Errorf("scenario: %s: the UE population exceeds the limit of %d", where, maxUEs)
 		}
+		n := g.Count * len(targets)
+		population += n
 		for k := 0; k < n; k++ {
 			imsi := g.IMSIBase + uint64(k)
 			if imsis[imsi] {
@@ -2050,51 +1292,4 @@ func (sc *Scenario) validate() error {
 		sort.SliceStable(sc.ENBs, func(i, j int) bool { return sc.ENBs[i].ID < sc.ENBs[j].ID })
 	}
 	return nil
-}
-
-// ---------------------------------------------------------------------------
-// Scalar helpers.
-
-func posInt(n *yamlite.Node) (int64, error) {
-	v, err := n.Int()
-	if err != nil {
-		return 0, err
-	}
-	if v <= 0 {
-		return 0, errors.New("not positive")
-	}
-	return v, nil
-}
-
-func nonNegInt(n *yamlite.Node) (int64, error) {
-	v, err := n.Int()
-	if err != nil {
-		return 0, err
-	}
-	if v < 0 {
-		return 0, errors.New("negative")
-	}
-	return v, nil
-}
-
-func probVal(n *yamlite.Node) (float64, error) {
-	f, err := n.Float()
-	if err != nil {
-		return 0, err
-	}
-	if f < 0 || f > 1 {
-		return 0, errors.New("out of range")
-	}
-	return f, nil
-}
-
-func cqiVal(n *yamlite.Node) (int64, error) {
-	v, err := n.Int()
-	if err != nil {
-		return 0, err
-	}
-	if v < 1 || v > int64(lte.MaxCQI) {
-		return 0, errors.New("out of range")
-	}
-	return v, nil
 }

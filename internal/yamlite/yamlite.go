@@ -317,27 +317,36 @@ func splitKey(text string) (key, rest string, ok bool) {
 
 func (p *parser) parseMap(indent int) (*Node, error) {
 	m := Map()
+	if err := p.parseMapInto(m, indent); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// parseMapInto adds the entries at the given indentation to m, rejecting
+// any key m already holds.
+func (p *parser) parseMapInto(m *Node, indent int) error {
 	for {
 		ln, ok := p.peek()
 		if !ok || ln.indent < indent {
-			return m, nil
+			return nil
 		}
 		if ln.indent > indent {
-			return nil, fmt.Errorf("yamlite: line %d: unexpected indentation", ln.num)
+			return fmt.Errorf("yamlite: line %d: unexpected indentation", ln.num)
 		}
 		key, rest, isMap := splitKey(ln.text)
 		if !isMap {
-			return nil, fmt.Errorf("yamlite: line %d: expected 'key:' entry", ln.num)
+			return fmt.Errorf("yamlite: line %d: expected 'key:' entry", ln.num)
 		}
 		key = unquote(key)
 		if _, dup := m.children[key]; dup {
-			return nil, fmt.Errorf("yamlite: line %d: duplicate key %q", ln.num, key)
+			return fmt.Errorf("yamlite: line %d: duplicate key %q", ln.num, key)
 		}
 		p.pos++
 		if rest != "" {
 			v, err := parseScalarOrInline(rest)
 			if err != nil {
-				return nil, fmt.Errorf("yamlite: line %d: %v", ln.num, err)
+				return fmt.Errorf("yamlite: line %d: %v", ln.num, err)
 			}
 			m.Set(key, v)
 			continue
@@ -350,7 +359,7 @@ func (p *parser) parseMap(indent int) (*Node, error) {
 		}
 		child, err := p.parseBlock(next.indent)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		m.Set(key, child)
 	}
@@ -399,17 +408,9 @@ func (p *parser) parseSeq(indent int) (*Node, error) {
 			} else {
 				item.Set(unquote(key), Scalar(""))
 			}
-			for {
-				next, ok := p.peek()
-				if !ok || next.indent != itemIndent || !isMapEntry(next.text) {
-					break
-				}
-				sub, err := p.parseMap(itemIndent)
-				if err != nil {
+			if next, ok := p.peek(); ok && next.indent == itemIndent && isMapEntry(next.text) {
+				if err := p.parseMapInto(item, itemIndent); err != nil {
 					return nil, err
-				}
-				for _, k := range sub.keys {
-					item.Set(k, sub.children[k])
 				}
 			}
 			seq.items = append(seq.items, item)

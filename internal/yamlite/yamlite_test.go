@@ -398,3 +398,27 @@ func TestEmptyInlineElements(t *testing.T) {
 		}
 	}
 }
+
+// TestSeqItemDuplicateKey checks that a key repeated inside one sequence
+// item is rejected whether the item opens on its dash line or under a bare
+// dash.
+func TestSeqItemDuplicateKey(t *testing.T) {
+	for _, tc := range []struct{ doc, want string }{
+		{"- id: 1\n  id: 2\n", `yamlite: line 2: duplicate key "id"`},
+		{"s:\n  - id: 1\n    x: 0\n    id: 2\n", `yamlite: line 4: duplicate key "id"`},
+		{"-\n  id: 1\n  id: 2\n", `yamlite: line 3: duplicate key "id"`},
+	} {
+		_, err := Parse(tc.doc)
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("Parse(%q) error = %v, want %q", tc.doc, err, tc.want)
+		}
+	}
+	// Distinct keys on and under the dash line still merge into one item.
+	n, err := Parse("- id: 1\n  x: 2\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if it := n.Items()[0]; it.Get("id").Str() != "1" || it.Get("x").Str() != "2" || it.Len() != 2 {
+		t.Fatalf("item = %q", Marshal(it))
+	}
+}

@@ -67,21 +67,6 @@ func (c RTConfig) period() time.Duration {
 	return c.Period
 }
 
-// ServeMaster runs a master controller over TCP with default pacing (1 ms
-// TTIs, no stats sink); see ServeMasterRT.
-func ServeMaster(m *Master, addr string, stop <-chan struct{}) error {
-	return ServeMasterRT(m, addr, stop, RTConfig{})
-}
-
-// ServeMasterRT binds addr and serves; see ServeMasterListener.
-func ServeMasterRT(m *Master, addr string, stop <-chan struct{}, cfg RTConfig) error {
-	l, err := transport.Listen(addr)
-	if err != nil {
-		return err
-	}
-	return ServeMasterListener(m, l, stop, cfg)
-}
-
 // ServeMasterListener runs a master controller on an already-bound
 // listener: an accept loop feeding agent connections into the master, plus
 // the task-manager tick loop at one cycle per TTI. Inbound traffic is
@@ -213,12 +198,6 @@ func ServeNorthbound(m *Master, ls *LoopStats, addr string, stop <-chan struct{}
 	}()
 	go srv.Serve(l) //nolint:errcheck // reported via the listener close path
 	return l.Addr(), nil
-}
-
-// RunAgentLoop connects an agent-enabled eNodeB to a master over TCP with
-// default pacing (1 ms TTIs, no stats sink); see RunAgentLoopRT.
-func RunAgentLoop(a *Agent, masterAddr string, stop <-chan struct{}) error {
-	return RunAgentLoopRT(a, masterAddr, stop, RTConfig{})
 }
 
 // RunAgentLoopRT connects an agent-enabled eNodeB to a master over TCP and

@@ -120,7 +120,7 @@ func TestRealTimeAgentRestart(t *testing.T) {
 	a := startAgentENB(t, 5, 3)
 	agentStop := make(chan struct{})
 	agentErr := make(chan error, 1)
-	go func() { agentErr <- flexran.RunAgentLoop(a, addr, agentStop) }()
+	go func() { agentErr <- flexran.RunAgentLoopRT(a, addr, agentStop, flexran.RTConfig{}) }()
 	waitFor(t, 5*time.Second, "first attach", func() bool {
 		return m.RIB().Connected(5) && m.RIB().UECount(5) == 3
 	})
@@ -139,7 +139,7 @@ func TestRealTimeAgentRestart(t *testing.T) {
 	// bring the RIB back without any manual cleanup.
 	a.Restart()
 	agentStop = make(chan struct{})
-	go func() { agentErr <- flexran.RunAgentLoop(a, addr, agentStop) }()
+	go func() { agentErr <- flexran.RunAgentLoopRT(a, addr, agentStop, flexran.RTConfig{}) }()
 	waitFor(t, 5*time.Second, "reattach after restart", func() bool {
 		return m.RIB().Connected(5) && m.RIB().UECount(5) == 3
 	})
@@ -177,7 +177,7 @@ func TestRealTimeShutdownLeaksNothing(t *testing.T) {
 	go func() { errc <- flexran.ServeMasterListener(m, l, stop, flexran.RTConfig{}) }()
 	for i := 0; i < 3; i++ {
 		a := startAgentENB(t, flexran.ENBID(20+i), 1)
-		go func() { errc <- flexran.RunAgentLoop(a, addr, stop) }()
+		go func() { errc <- flexran.RunAgentLoopRT(a, addr, stop, flexran.RTConfig{}) }()
 	}
 	waitFor(t, 5*time.Second, "all agents attached", func() bool {
 		for i := 0; i < 3; i++ {
@@ -222,7 +222,7 @@ func TestRealTimeAgentStopThenPeerClose(t *testing.T) {
 	run := func(id flexran.ENBID, stop chan struct{}) (net.Conn, chan error) {
 		a := startAgentENB(t, id, 1)
 		errc := make(chan error, 1)
-		go func() { errc <- flexran.RunAgentLoop(a, l.Addr().String(), stop) }()
+		go func() { errc <- flexran.RunAgentLoopRT(a, l.Addr().String(), stop, flexran.RTConfig{}) }()
 		sc, err := l.Accept()
 		if err != nil {
 			t.Fatal(err)
