@@ -7,6 +7,7 @@ package flexran_test
 //
 //   - encode+decode round trip of a 32-UE StatsReply (pooled codec)
 //   - one agent report TTI (snapshot -> report build -> emit)
+//   - one eNodeB data-plane TTI (snapshot -> schedule -> apply)
 //   - one framed Conn send (coalesced single-write framing)
 //
 // Budgets carry small headroom over the measured steady state (a GC can
@@ -128,6 +129,36 @@ func TestAllocGateAgentReportTTI(t *testing.T) {
 	}
 	if got := testing.AllocsPerRun(1000, op); got > budget {
 		t.Errorf("agent report TTI: %.1f allocs/op, budget %d", got, budget)
+	}
+}
+
+// TestAllocGateENBStep gates the data-plane TTI: one Step of a 16-UE
+// eNodeB, every UE backlogged, under the default round-robin scheduler.
+// Snapshot, scheduling and allocation apply all run on reused scratch, so
+// the budget is 0. (Measured: 0 allocs/op.)
+func TestAllocGateENBStep(t *testing.T) {
+	skipUnderRace(t)
+	const budget = 0
+	e := enb.New(enb.Config{ID: 1, Seed: 1})
+	rntis := make([]lte.RNTI, 0, 16)
+	for i := 0; i < 16; i++ {
+		rnti, err := e.AddUE(enb.UEParams{IMSI: uint64(i + 1), Cell: 0, Channel: radio.Fixed(12)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rntis = append(rntis, rnti)
+	}
+	op := func() {
+		for _, r := range rntis {
+			e.DLEnqueue(r, 3000)
+		}
+		e.Step()
+	}
+	for i := 0; i < 200; i++ {
+		op() // complete attach and warm the scheduler scratch
+	}
+	if got := testing.AllocsPerRun(1000, op); got > budget {
+		t.Errorf("eNodeB TTI: %.1f allocs/op, budget %d", got, budget)
 	}
 }
 

@@ -18,8 +18,10 @@
 // touches (CQI, queues, averaging, HARQ bookkeeping) live in dense parallel
 // lanes indexed by a compact slot id, while the rarely-touched remainder
 // (identity, attach supervision, DRX) sits in a parallel cold array. Slots
-// are recycled through a free list on detach/handover, and two compact maps
-// (RNTI→slot, IMSI→slot) provide O(1) lookups without per-UE heap objects.
+// are recycled through a free list on detach/handover. A dense RNTI-indexed
+// slice resolves the RNTI of every per-TTI call (traffic injection,
+// allocation) to its slot, and a compact IMSI→slot map serves the
+// per-subscriber lookups off the hot path.
 package enb
 
 import (
@@ -53,6 +55,9 @@ const (
 	// activityWindow is how many past subframes of per-cell transmission
 	// activity are retained (for interference coupling between eNBs).
 	activityWindow = 64
+	// maxUEs is the number of C-RNTIs an eNodeB hands out (FirstUERNTI
+	// through 0xFFFF), and so the most UEs it can hold at once.
+	maxUEs = 1<<16 - int(lte.FirstUERNTI)
 )
 
 // UEState is the attach state machine.
@@ -204,8 +209,11 @@ type ENB struct {
 	// order is the live slots in ascending RNTI order, kept sorted
 	// incrementally (insertion keeps the invariant; removal preserves it),
 	// so per-TTI sweeps never re-sort and never touch a map.
-	order      []int32
-	slotOf     map[lte.RNTI]int32
+	order []int32
+	// slotOf is the dense RNTI index: slotOf[rnti-FirstUERNTI] holds the
+	// UE's slot+1, or 0 when that RNTI is not live. It grows to the
+	// highest RNTI issued, at most maxUEs entries.
+	slotOf     []int32
 	slotByIMSI map[uint64]int32
 	free       []int32 // recycled slots (fully zeroed)
 
@@ -217,9 +225,10 @@ type ENB struct {
 	unsteady  int
 	measurers int
 
-	sf       lte.Subframe
-	hooks    Hooks
-	rnd      *rand.Rand
+	sf    lte.Subframe
+	hooks Hooks
+	rnd   *rand.Rand
+	// nextRNTI is where the search for the next free RNTI starts.
 	nextRNTI lte.RNTI
 
 	// schedUEs is the reusable scratch behind schedInput's UE snapshots
@@ -249,7 +258,6 @@ func New(cfg Config) *ENB {
 	e := &ENB{
 		cfg:        cfg,
 		cells:      map[lte.CellID]*cell{},
-		slotOf:     map[lte.RNTI]int32{},
 		slotByIMSI: map[uint64]int32{},
 		rnd:        rand.New(rand.NewSource(cfg.Seed + 1)),
 		nextRNTI:   lte.FirstUERNTI,
@@ -385,7 +393,45 @@ func (e *ENB) trackChannel(ch radio.Model, delta int) {
 	}
 }
 
+// slotFor resolves a live RNTI to its slot.
+func (e *ENB) slotFor(rnti lte.RNTI) (int32, bool) {
+	i := int(rnti) - int(lte.FirstUERNTI)
+	if i < 0 || i >= len(e.slotOf) || e.slotOf[i] == 0 {
+		return 0, false
+	}
+	return e.slotOf[i] - 1, true
+}
+
+// bindRNTI records a new UE's RNTI→slot binding, growing the index.
+func (e *ENB) bindRNTI(rnti lte.RNTI, s int32) {
+	i := int(rnti - lte.FirstUERNTI)
+	if i >= len(e.slotOf) {
+		e.slotOf = append(e.slotOf, make([]int32, i+1-len(e.slotOf))...)
+	}
+	e.slotOf[i] = s + 1
+}
+
+// allocRNTI issues the next free C-RNTI. RNTIs count up from FirstUERNTI
+// and wrap back to it after 0xFFFF, skipping any still live, so no two
+// live UEs share one. With all maxUEs of them live it fails.
+func (e *ENB) allocRNTI() (lte.RNTI, error) {
+	if len(e.order) >= maxUEs {
+		return 0, fmt.Errorf("enb: all %d RNTIs are in use", maxUEs)
+	}
+	for {
+		rnti := e.nextRNTI
+		e.nextRNTI++
+		if e.nextRNTI == 0 {
+			e.nextRNTI = lte.FirstUERNTI
+		}
+		if _, live := e.slotFor(rnti); !live {
+			return rnti, nil
+		}
+	}
+}
+
 // AddUE starts the attach procedure for a new UE and returns its RNTI.
+// It fails for an unknown cell and when all maxUEs RNTIs are live.
 func (e *ENB) AddUE(p UEParams) (lte.RNTI, error) {
 	if _, ok := e.cells[p.Cell]; !ok {
 		return 0, fmt.Errorf("enb: unknown cell %d", p.Cell)
@@ -393,8 +439,10 @@ func (e *ENB) AddUE(p UEParams) (lte.RNTI, error) {
 	if p.Channel == nil {
 		p.Channel = radio.Fixed(lte.MaxCQI)
 	}
-	rnti := e.nextRNTI
-	e.nextRNTI++
+	rnti, err := e.allocRNTI()
+	if err != nil {
+		return 0, err
+	}
 	s := e.allocSlot()
 	e.hot.rnti[s] = rnti
 	e.hot.state[s] = StateAttaching
@@ -403,7 +451,7 @@ func (e *ENB) AddUE(p UEParams) (lte.RNTI, error) {
 	c.params = p
 	c.deadline = e.sf + lte.Subframe(e.cfg.AttachTimeoutTTI)
 	c.attempts = 1
-	e.slotOf[rnti] = s
+	e.bindRNTI(rnti, s)
 	e.slotByIMSI[p.IMSI] = s
 	e.insertOrdered(s)
 	e.trackChannel(p.Channel, 1)
@@ -413,13 +461,13 @@ func (e *ENB) AddUE(p UEParams) (lte.RNTI, error) {
 
 // RemoveUE detaches a UE.
 func (e *ENB) RemoveUE(rnti lte.RNTI) {
-	s, ok := e.slotOf[rnti]
+	s, ok := e.slotFor(rnti)
 	if !ok {
 		return
 	}
 	cellID := e.cold[s].params.Cell
 	e.trackChannel(e.cold[s].params.Channel, -1)
-	delete(e.slotOf, rnti)
+	e.slotOf[rnti-lte.FirstUERNTI] = 0
 	delete(e.slotByIMSI, e.cold[s].params.IMSI)
 	for i, os := range e.order {
 		if os == s {
@@ -458,7 +506,7 @@ type HandoverState struct {
 // for forwarding; like RemoveUE it raises a detach event (the source
 // agent's notification that the UE left this cell).
 func (e *ENB) ReleaseUE(rnti lte.RNTI) (HandoverState, bool) {
-	s, ok := e.slotOf[rnti]
+	s, ok := e.slotFor(rnti)
 	if !ok {
 		return HandoverState{}, false
 	}
@@ -482,7 +530,8 @@ func (e *ENB) ReleaseUE(rnti lte.RNTI) (HandoverState, bool) {
 // AdmitUE admits a handed-over UE: it enters directly in the connected
 // state (the RRC reconfiguration of a handover, not a fresh attach),
 // inherits the forwarded queues and counters, and raises an attach event
-// so the control plane learns the new binding.
+// so the control plane learns the new binding. Like AddUE it fails for an
+// unknown cell and when every RNTI is live.
 func (e *ENB) AdmitUE(st HandoverState) (lte.RNTI, error) {
 	if _, ok := e.cells[st.Params.Cell]; !ok {
 		return 0, fmt.Errorf("enb: unknown cell %d", st.Params.Cell)
@@ -490,8 +539,10 @@ func (e *ENB) AdmitUE(st HandoverState) (lte.RNTI, error) {
 	if st.Params.Channel == nil {
 		st.Params.Channel = radio.Fixed(lte.MaxCQI)
 	}
-	rnti := e.nextRNTI
-	e.nextRNTI++
+	rnti, err := e.allocRNTI()
+	if err != nil {
+		return 0, err
+	}
 	s := e.allocSlot()
 	e.hot.rnti[s] = rnti
 	e.hot.state[s] = StateConnected
@@ -507,7 +558,7 @@ func (e *ENB) AdmitUE(st HandoverState) (lte.RNTI, error) {
 	c.ulDelivered = st.ULDelivered
 	c.dlDropped = st.DLDropped + uint64(st.DLQueue-dlQueue)
 	c.harqRetx = st.HARQRetx
-	e.slotOf[rnti] = s
+	e.bindRNTI(rnti, s)
 	e.slotByIMSI[st.Params.IMSI] = s
 	e.insertOrdered(s)
 	e.trackChannel(st.Params.Channel, 1)
@@ -518,7 +569,7 @@ func (e *ENB) AdmitUE(st HandoverState) (lte.RNTI, error) {
 // SetDRX configures discontinuous reception for a UE (Table 1 "DRX
 // commands"). cycleTTI 0 disables DRX.
 func (e *ENB) SetDRX(rnti lte.RNTI, cycleTTI, onDuration int) error {
-	s, ok := e.slotOf[rnti]
+	s, ok := e.slotFor(rnti)
 	if !ok {
 		return fmt.Errorf("enb: unknown UE %d", rnti)
 	}
@@ -536,7 +587,7 @@ func (e *ENB) SetDRX(rnti lte.RNTI, cycleTTI, onDuration int) error {
 // DLEnqueue adds downlink bytes for a UE (the EPC injection path).
 // It returns the bytes accepted after the queue cap.
 func (e *ENB) DLEnqueue(rnti lte.RNTI, bytes int) int {
-	s, ok := e.slotOf[rnti]
+	s, ok := e.slotFor(rnti)
 	if !ok || bytes <= 0 {
 		return 0
 	}
@@ -552,7 +603,7 @@ func (e *ENB) DLEnqueue(rnti lte.RNTI, bytes int) int {
 // ULEnqueue adds uplink bytes at the UE (its traffic generator). The first
 // byte after an empty buffer raises a scheduling-request event.
 func (e *ENB) ULEnqueue(rnti lte.RNTI, bytes int) int {
-	s, ok := e.slotOf[rnti]
+	s, ok := e.slotFor(rnti)
 	if !ok || bytes <= 0 {
 		return 0
 	}
@@ -722,7 +773,7 @@ func (e *ENB) schedInput(c *cell, sf lte.Subframe, dir lte.Direction) sched.Inpu
 func (e *ENB) apply(c *cell, sf lte.Subframe, dir lte.Direction, allocs []sched.Alloc, budget int) int {
 	used := 0
 	for _, a := range allocs {
-		s, ok := e.slotOf[a.RNTI]
+		s, ok := e.slotFor(a.RNTI)
 		if !ok || a.RBCount <= 0 {
 			continue
 		}

@@ -17,7 +17,7 @@ func dirtySlot(t *testing.T, e *ENB) (lte.RNTI, int32) {
 	for i := 0; i < 20; i++ {
 		e.Step()
 	}
-	s := e.slotOf[rnti]
+	s, _ := e.slotFor(rnti)
 	r, _ := e.UEReport(rnti)
 	if r.CQI == 0 || r.AvgDLKbps == 0 || r.AvgULKbps == 0 || r.DLDelivered == 0 || r.LastSched == 0 {
 		t.Fatalf("failed to dirty the slot: %+v", r)
@@ -48,7 +48,7 @@ func TestSlotReuseNoLeak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := e.slotOf[rnti]; got != s {
+	if got, _ := e.slotFor(rnti); got != s {
 		t.Fatalf("new UE got slot %d, want recycled slot %d", got, s)
 	}
 	if len(e.hot.rnti) != lanes || len(e.cold) != lanes {
@@ -102,7 +102,7 @@ func TestHandoverSlotReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := e.slotOf[rnti]; got != s {
+	if got, _ := e.slotFor(rnti); got != s {
 		t.Fatalf("admission got slot %d, want recycled slot %d", got, s)
 	}
 	r, _ := e.UEReport(rnti)

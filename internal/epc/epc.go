@@ -28,6 +28,20 @@ type Bearer struct {
 	// Accounting.
 	DLOffered  uint64 // bytes presented by the traffic source
 	DLAccepted uint64 // bytes accepted into the RLC queue
+
+	// serving is the eNodeB behind ENB, resolved by Attach and Handover
+	// so the per-TTI downlink path never looks it up.
+	serving *enb.ENB
+}
+
+// Downlink routes bytes into the serving eNodeB's queue for this bearer,
+// returning the bytes accepted (the rest were dropped at the RLC cap).
+// It touches the serving eNodeB, so it runs on that eNodeB's owner.
+func (b *Bearer) Downlink(bytes int) int {
+	accepted := b.serving.DLEnqueue(b.RNTI, bytes)
+	b.DLOffered += uint64(bytes)
+	b.DLAccepted += uint64(accepted)
+	return accepted
 }
 
 // EPC routes user-plane traffic to registered eNodeBs.
@@ -46,20 +60,23 @@ func New() *EPC {
 	}
 }
 
-// Register connects an eNodeB's S1 interface.
+// Register connects an eNodeB's S1 interface. Bearers resolve their
+// eNodeB when they attach or hand over, so register each eNodeB once,
+// before its first bearer.
 func (c *EPC) Register(e *enb.ENB) {
 	c.enbs[e.ID()] = e
 }
 
 // Attach creates the default bearer for a subscriber.
 func (c *EPC) Attach(imsi uint64, enbID lte.ENBID, rnti lte.RNTI) (*Bearer, error) {
-	if _, ok := c.enbs[enbID]; !ok {
+	e, ok := c.enbs[enbID]
+	if !ok {
 		return nil, fmt.Errorf("epc: unknown eNodeB %d", enbID)
 	}
 	if _, dup := c.bearers[imsi]; dup {
 		return nil, fmt.Errorf("epc: IMSI %d already attached", imsi)
 	}
-	b := &Bearer{IMSI: imsi, ENB: enbID, RNTI: rnti, TEID: c.nextTEID}
+	b := &Bearer{IMSI: imsi, ENB: enbID, RNTI: rnti, TEID: c.nextTEID, serving: e}
 	c.nextTEID++
 	c.bearers[imsi] = b
 	return b, nil
@@ -77,14 +94,7 @@ func (c *EPC) Downlink(imsi uint64, bytes int) (int, error) {
 	if !ok {
 		return 0, fmt.Errorf("epc: no bearer for IMSI %d", imsi)
 	}
-	e := c.enbs[b.ENB]
-	if e == nil {
-		return 0, fmt.Errorf("epc: eNodeB %d gone", b.ENB)
-	}
-	accepted := e.DLEnqueue(b.RNTI, bytes)
-	b.DLOffered += uint64(bytes)
-	b.DLAccepted += uint64(accepted)
-	return accepted, nil
+	return b.Downlink(bytes), nil
 }
 
 // Bearer returns a subscriber's bearer.
@@ -110,9 +120,10 @@ func (c *EPC) Handover(imsi uint64, newENB lte.ENBID, newRNTI lte.RNTI) error {
 	if !ok {
 		return fmt.Errorf("epc: no bearer for IMSI %d", imsi)
 	}
-	if _, ok := c.enbs[newENB]; !ok {
+	e, ok := c.enbs[newENB]
+	if !ok {
 		return fmt.Errorf("epc: unknown eNodeB %d", newENB)
 	}
-	b.ENB, b.RNTI = newENB, newRNTI
+	b.ENB, b.RNTI, b.serving = newENB, newRNTI, e
 	return nil
 }

@@ -200,6 +200,7 @@ func (rt *Runtime) Execute() (*Result, error) {
 	}
 
 	s.Run(sc.Run.TTIs)
+	s.Sync()
 
 	return &Result{Runtime: rt, Summary: rt.summarize(attachTTI, attachTTIs, base0)}, nil
 }

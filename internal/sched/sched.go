@@ -11,7 +11,8 @@
 package sched
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"flexran/internal/lte"
 )
@@ -55,6 +56,12 @@ type Alloc struct {
 // Scheduler maps an input snapshot to allocations. Implementations must
 // never allocate more than Input.TotalPRB resource blocks in total and
 // must keep allocations disjoint.
+//
+// The returned slice belongs to the scheduler and stays valid only until
+// its next Schedule call, which may reuse it: the per-TTI path keeps its
+// working memory instead of allocating. A caller that keeps a decision
+// longer copies it (Slicer and the controller's ScheduleDL do). For the
+// same reason one instance must not run on two goroutines at once.
 type Scheduler interface {
 	// Name identifies the scheduler (used as VSF cache keys and in
 	// policy documents).
@@ -68,12 +75,12 @@ func bytesPerPRB(dir lte.Direction, c lte.CQI) int {
 	return lte.TBSBytes(dir, c, 1)
 }
 
-// FillByOrder allocates PRBs to UEs in the given priority order (indices
-// into in.UEs). Each UE receives just enough PRBs to drain its queue this
-// TTI, and the remainder flows to the next UE — a work-conserving greedy
-// fill used by every priority-ordered scheduler in this package.
-func FillByOrder(in Input, order []int) []Alloc {
-	var out []Alloc
+// FillByOrder appends to dst the allocations of UEs taken in the given
+// priority order (indices into in.UEs). Each UE receives just enough PRBs
+// to drain its queue this TTI, and the remainder flows to the next UE — a
+// work-conserving greedy fill used by every priority-ordered scheduler in
+// this package.
+func FillByOrder(dst []Alloc, in Input, order []int) []Alloc {
 	rbStart := 0
 	left := in.TotalPRB
 	for _, idx := range order {
@@ -90,7 +97,7 @@ func FillByOrder(in Input, order []int) []Alloc {
 		if n > left {
 			n = left
 		}
-		out = append(out, Alloc{
+		dst = append(dst, Alloc{
 			RNTI:    ue.RNTI,
 			RBStart: rbStart,
 			RBCount: n,
@@ -99,22 +106,70 @@ func FillByOrder(in Input, order []int) []Alloc {
 		rbStart += n
 		left -= n
 	}
-	return out
+	return dst
 }
 
-// backlogged returns the indices of servable UEs (non-empty queue, CQI>0),
-// sorted by RNTI for determinism.
-func backlogged(in Input) []int {
-	var idx []int
-	for i, ue := range in.UEs {
-		if ue.QueueBytes > 0 && ue.CQI > 0 {
-			idx = append(idx, i)
+// scratch is one scheduler instance's reusable working memory: candidate
+// indices, per-UE scores (indexed like Input.UEs) and the result. Once
+// grown to the cell's UE count, Schedule allocates nothing.
+type scratch struct {
+	idx   []int
+	score []float64
+	out   []Alloc
+}
+
+// servable reports whether a UE has data and a channel that carries at
+// least one byte per PRB in the input's direction. CQI 0 never does, and
+// neither does CQI 1 in the uplink; RoundRobin divides by the per-PRB
+// capacity, so such a UE must not reach it.
+func servable(dir lte.Direction, ue *UEInfo) bool {
+	return ue.QueueBytes > 0 && bytesPerPRB(dir, ue.CQI) > 0
+}
+
+// backlogged returns the indices of servable UEs in RNTI order. An input
+// already in strictly increasing RNTI order (every eNodeB snapshot) is
+// only filtered; any other input is sorted. The sort is unstable but
+// deterministic, so duplicate RNTIs still come out in a fixed order.
+func (sc *scratch) backlogged(in Input) []int {
+	idx := sc.idx[:0]
+	ordered := true
+	var last lte.RNTI
+	for i := range in.UEs {
+		ue := &in.UEs[i]
+		if !servable(in.Dir, ue) {
+			continue
 		}
+		if len(idx) > 0 && ue.RNTI <= last {
+			ordered = false
+		}
+		last = ue.RNTI
+		idx = append(idx, i)
 	}
-	sort.Slice(idx, func(a, b int) bool {
-		return in.UEs[idx[a]].RNTI < in.UEs[idx[b]].RNTI
-	})
+	if !ordered {
+		slices.SortFunc(idx, func(a, b int) int {
+			return cmp.Compare(in.UEs[a].RNTI, in.UEs[b].RNTI)
+		})
+	}
+	sc.idx = idx
 	return idx
+}
+
+// scores returns the score scratch sized to in.UEs.
+func (sc *scratch) scores(in Input) []float64 {
+	if cap(sc.score) < len(in.UEs) {
+		sc.score = make([]float64, len(in.UEs))
+	}
+	sc.score = sc.score[:len(in.UEs)]
+	return sc.score
+}
+
+// fillByScore stably orders idx by descending score (ties keep RNTI
+// order) and fills in that order.
+func (sc *scratch) fillByScore(in Input, idx []int) []Alloc {
+	score := sc.score
+	slices.SortStableFunc(idx, func(a, b int) int { return cmp.Compare(score[b], score[a]) })
+	sc.out = FillByOrder(sc.out[:0], in, idx)
+	return sc.out
 }
 
 // RoundRobin is the fair equal-share scheduler: every backlogged UE gets
@@ -123,6 +178,7 @@ func backlogged(in Input) []int {
 // of the Fig. 12b MNO.
 type RoundRobin struct {
 	rot int // rotation offset for remainder distribution
+	sc  scratch
 }
 
 // NewRoundRobin returns a fair equal-share scheduler.
@@ -133,51 +189,57 @@ func (*RoundRobin) Name() string { return "rr" }
 
 // Schedule implements Scheduler.
 func (s *RoundRobin) Schedule(in Input) []Alloc {
-	idx := backlogged(in)
+	idx := s.sc.backlogged(in)
 	if len(idx) == 0 {
 		return nil
 	}
-	share := in.TotalPRB / len(idx)
-	extra := in.TotalPRB % len(idx)
-	var out []Alloc
+	n := len(idx)
+	share := in.TotalPRB / n
+	extra := in.TotalPRB % n
+	out := s.sc.out[:0]
 	rbStart := 0
 	spare := 0 // PRBs returned by UEs that need less than their share
-	for pos := range idx {
-		// Rotate so the +1 remainder moves across UEs over time.
-		i := idx[(pos+s.rot)%len(idx)]
-		ue := in.UEs[i]
+	// Start the walk at the rotation offset so the +1 remainder moves
+	// across UEs over time.
+	j := s.rot % n
+	for pos := 0; pos < n; pos, j = pos+1, j+1 {
+		if j == n {
+			j = 0
+		}
+		ue := &in.UEs[idx[j]]
 		quota := share
 		if pos < extra {
 			quota++
 		}
 		per := bytesPerPRB(in.Dir, ue.CQI)
 		need := (ue.QueueBytes + per - 1) / per
-		n := quota + spare
-		if n > need {
-			spare = n - need
-			n = need
+		grant := quota + spare
+		if grant > need {
+			spare = grant - need
+			grant = need
 		} else {
 			spare = 0
 		}
-		if n == 0 {
+		if grant == 0 {
 			continue
 		}
 		out = append(out, Alloc{
 			RNTI:    ue.RNTI,
 			RBStart: rbStart,
-			RBCount: n,
+			RBCount: grant,
 			MCS:     lte.MCSForCQI(ue.CQI),
 		})
-		rbStart += n
+		rbStart += grant
 	}
 	s.rot++
+	s.sc.out = out
 	return out
 }
 
 // ProportionalFair ranks UEs by instantaneous-rate over average-rate, the
 // classic PF metric, then greedily fills. The average rate is supplied by
 // the MAC in UEInfo.AvgRateKbps.
-type ProportionalFair struct{}
+type ProportionalFair struct{ sc scratch }
 
 // NewProportionalFair returns a PF scheduler.
 func NewProportionalFair() *ProportionalFair { return &ProportionalFair{} }
@@ -187,11 +249,12 @@ func (*ProportionalFair) Name() string { return "pf" }
 
 // Schedule implements Scheduler.
 func (s *ProportionalFair) Schedule(in Input) []Alloc {
-	idx := backlogged(in)
-	sort.SliceStable(idx, func(a, b int) bool {
-		return pfMetric(in, in.UEs[idx[a]]) > pfMetric(in, in.UEs[idx[b]])
-	})
-	return FillByOrder(in, idx)
+	idx := s.sc.backlogged(in)
+	score := s.sc.scores(in)
+	for _, i := range idx {
+		score[i] = pfMetric(in, in.UEs[i])
+	}
+	return s.sc.fillByScore(in, idx)
 }
 
 func pfMetric(in Input, ue UEInfo) float64 {
@@ -205,7 +268,7 @@ func pfMetric(in Input, ue UEInfo) float64 {
 
 // MaxCQI always serves the best channel first (maximum-throughput,
 // fairness-free; the baseline that motivates PF).
-type MaxCQI struct{}
+type MaxCQI struct{ sc scratch }
 
 // NewMaxCQI returns a max-CQI scheduler.
 func NewMaxCQI() *MaxCQI { return &MaxCQI{} }
@@ -215,11 +278,12 @@ func (*MaxCQI) Name() string { return "maxcqi" }
 
 // Schedule implements Scheduler.
 func (s *MaxCQI) Schedule(in Input) []Alloc {
-	idx := backlogged(in)
-	sort.SliceStable(idx, func(a, b int) bool {
-		return in.UEs[idx[a]].CQI > in.UEs[idx[b]].CQI
-	})
-	return FillByOrder(in, idx)
+	idx := s.sc.backlogged(in)
+	score := s.sc.scores(in)
+	for _, i := range idx {
+		score[i] = float64(in.UEs[i].CQI)
+	}
+	return s.sc.fillByScore(in, idx)
 }
 
 // MetricFunc scores one UE; higher runs first. UEs scoring negative are
@@ -233,6 +297,7 @@ type MetricFunc func(in Input, ue UEInfo) float64
 type Metric struct {
 	name string
 	fn   MetricFunc
+	sc   scratch
 }
 
 // NewMetric builds a metric scheduler.
@@ -245,19 +310,13 @@ func (m *Metric) Name() string { return m.name }
 
 // Schedule implements Scheduler.
 func (m *Metric) Schedule(in Input) []Alloc {
-	idx := backlogged(in)
-	scores := make(map[int]float64, len(idx))
-	for _, i := range idx {
-		scores[i] = m.fn(in, in.UEs[i])
-	}
+	idx := m.sc.backlogged(in)
+	score := m.sc.scores(in)
 	kept := idx[:0]
 	for _, i := range idx {
-		if scores[i] >= 0 {
+		if score[i] = m.fn(in, in.UEs[i]); score[i] >= 0 {
 			kept = append(kept, i)
 		}
 	}
-	sort.SliceStable(kept, func(a, b int) bool {
-		return scores[kept[a]] > scores[kept[b]]
-	})
-	return FillByOrder(in, kept)
+	return m.sc.fillByScore(in, kept)
 }

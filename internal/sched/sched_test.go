@@ -46,7 +46,7 @@ func TestFillByOrderSizesByNeed(t *testing.T) {
 		UEInfo{RNTI: 1, CQI: 10, QueueBytes: 2 * per},
 		UEInfo{RNTI: 2, CQI: 10, QueueBytes: 1 << 20},
 	)
-	allocs := FillByOrder(in, []int{0, 1})
+	allocs := FillByOrder(nil, in, []int{0, 1})
 	checkInvariants(t, in, allocs)
 	if len(allocs) != 2 {
 		t.Fatalf("allocs = %+v", allocs)
@@ -65,7 +65,7 @@ func TestFillByOrderSkipsUnservable(t *testing.T) {
 		UEInfo{RNTI: 2, CQI: 10, QueueBytes: 0},    // empty queue
 		UEInfo{RNTI: 3, CQI: 5, QueueBytes: 99999}, // servable
 	)
-	allocs := FillByOrder(in, []int{0, 1, 2})
+	allocs := FillByOrder(nil, in, []int{0, 1, 2})
 	if len(allocs) != 1 || allocs[0].RNTI != 3 {
 		t.Fatalf("allocs = %+v", allocs)
 	}
@@ -136,6 +136,25 @@ func TestRoundRobinSpareReassignment(t *testing.T) {
 	}
 	if got[2] != 49 {
 		t.Errorf("UE2 = %d PRBs, want 49 (work conservation)", got[2])
+	}
+}
+
+func TestRoundRobinSkipsZeroCapacityUplink(t *testing.T) {
+	// An uplink CQI-1 UE carries 0 bytes per PRB: it must be left out of
+	// the share split rather than crash the quota arithmetic.
+	if got := lte.TBSBytes(lte.Uplink, 1, 1); got != 0 {
+		t.Fatalf("premise: uplink CQI 1 carries %d bytes per PRB, want 0", got)
+	}
+	rr := NewRoundRobin()
+	in := mkInput(0, 10,
+		UEInfo{RNTI: 1, CQI: 1, QueueBytes: 1 << 20},
+		UEInfo{RNTI: 2, CQI: 10, QueueBytes: 1 << 20},
+	)
+	in.Dir = lte.Uplink
+	allocs := rr.Schedule(in)
+	checkInvariants(t, in, allocs)
+	if len(allocs) != 1 || allocs[0].RNTI != 2 || allocs[0].RBCount != 10 {
+		t.Fatalf("allocs = %+v, want all 10 PRBs for RNTI 2", allocs)
 	}
 }
 

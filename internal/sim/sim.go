@@ -21,6 +21,7 @@ package sim
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 
 	"flexran/internal/agent"
@@ -95,8 +96,13 @@ type Node struct {
 	mEp     *transport.SimEndpoint // master side
 	session *controller.AgentSession
 
-	RNTIs []lte.RNTI // by UESpec order
-	specs []UESpec
+	// RNTIs, specs and bearers are parallel, one entry per UE served
+	// here (in UESpec order, handed-in UEs appended); a handover moves a
+	// UE's three entries together. The bearer handles let traffic
+	// injection enqueue without an IMSI lookup.
+	RNTIs   []lte.RNTI
+	specs   []UESpec
+	bearers []*epc.Bearer
 
 	// spill holds downlink injections whose bearer points at a foreign
 	// eNodeB (possible after a handover); they are replayed serially
@@ -139,8 +145,8 @@ type Node struct {
 }
 
 type spillDL struct {
-	imsi  uint64
-	bytes int
+	bearer *epc.Bearer
+	bytes  int
 }
 
 // AgentMeter returns the agent-to-master signaling meter (Fig. 7a).
@@ -302,7 +308,13 @@ func New(cfg Config, enbs ...ENBSpec) (*Sim, error) {
 			Seed:             spec.Seed,
 			AttachTimeoutTTI: spec.AttachTimeoutTTI,
 		})
-		n := &Node{ENB: e, specs: spec.UEs}
+		// The node owns its UE list: handovers edit it in place.
+		n := &Node{
+			ENB:     e,
+			RNTIs:   make([]lte.RNTI, 0, len(spec.UEs)),
+			specs:   slices.Clone(spec.UEs),
+			bearers: make([]*epc.Bearer, 0, len(spec.UEs)),
+		}
 		if spec.Agent {
 			n.Agent = agent.New(e, spec.AgentOpts)
 			// Handover commands are queued on the node and executed at
@@ -325,10 +337,12 @@ func New(cfg Config, enbs ...ENBSpec) (*Sim, error) {
 			if err != nil {
 				return nil, fmt.Errorf("sim: adding UE %d: %w", u.IMSI, err)
 			}
-			if _, err := s.EPC.Attach(u.IMSI, spec.ID, rnti); err != nil {
+			br, err := s.EPC.Attach(u.IMSI, spec.ID, rnti)
+			if err != nil {
 				return nil, fmt.Errorf("sim: bearer for UE %d: %w", u.IMSI, err)
 			}
 			n.RNTIs = append(n.RNTIs, rnti)
+			n.bearers = append(n.bearers, br)
 		}
 		s.Nodes = append(s.Nodes, n)
 		s.byENB[spec.ID] = n
@@ -396,10 +410,10 @@ func (s *Sim) injectTraffic(n *Node, sf lte.Subframe) {
 				// eNodeB; after a handover it may point at a foreign
 				// one, whose queues another worker owns — defer those
 				// to the serial mop-up after the barrier.
-				if br, ok := s.EPC.Bearer(spec.IMSI); ok && br.ENB != id {
-					n.spill = append(n.spill, spillDL{imsi: spec.IMSI, bytes: b})
+				if br := n.bearers[i]; br.ENB != id {
+					n.spill = append(n.spill, spillDL{bearer: br, bytes: b})
 				} else {
-					s.EPC.Downlink(spec.IMSI, b) //nolint:errcheck // bearer exists by construction
+					br.Downlink(b)
 				}
 			}
 		}
@@ -418,12 +432,10 @@ func (s *Sim) injectTraffic(n *Node, sf lte.Subframe) {
 func (s *Sim) drainSpill() {
 	for _, n := range s.Nodes {
 		for _, d := range n.spill {
-			if br, ok := s.EPC.Bearer(d.imsi); ok {
-				if tn := s.byENB[br.ENB]; tn != nil {
-					tn.asleep = false
-				}
+			if tn := s.byENB[d.bearer.ENB]; tn != nil {
+				tn.asleep = false
 			}
-			s.EPC.Downlink(d.imsi, d.bytes) //nolint:errcheck // bearer checked during injection
+			d.bearer.Downlink(d.bytes)
 		}
 		n.spill = n.spill[:0]
 	}
@@ -522,11 +534,14 @@ func (s *Sim) executeHandover(src *Node, cmd protocol.HandoverCommand) {
 		return
 	}
 	s.EPC.Handover(spec.IMSI, cmd.TargetENB, newRNTI) //nolint:errcheck // bearer exists by construction
-	src.RNTIs = append(src.RNTIs[:idx], src.RNTIs[idx+1:]...)
-	src.specs = append(src.specs[:idx], src.specs[idx+1:]...)
+	br := src.bearers[idx]
+	src.RNTIs = slices.Delete(src.RNTIs, idx, idx+1)
+	src.specs = slices.Delete(src.specs, idx, idx+1)
+	src.bearers = slices.Delete(src.bearers, idx, idx+1)
 	spec.Cell = cmd.TargetCell
 	tgt.specs = append(tgt.specs, spec)
 	tgt.RNTIs = append(tgt.RNTIs, newRNTI)
+	tgt.bearers = append(tgt.bearers, br)
 	if tgt.Agent != nil {
 		tgt.Agent.NotifyHandoverComplete(newRNTI, spec.IMSI, cmd.TargetCell, src.ENB.ID(), cmd.RNTI)
 	}
@@ -906,6 +921,12 @@ func (s *Sim) syncNode(n *Node) {
 		n.ENB.FastForward(s.sf)
 	}
 }
+
+// Sync brings every sleeping node's eNodeB clock to the present on the
+// worker pool. A caller about to read many nodes (an end-of-run summary)
+// calls it once instead of letting each accessor catch its node up
+// serially.
+func (s *Sim) Sync() { s.forEachNode(s.syncNode) }
 
 // Report returns the UE report for eNodeB index i, UE index j. Note that
 // handovers migrate UEs between nodes; mobile scenarios should prefer
